@@ -79,7 +79,8 @@ def centralizer_order(tau) -> int:
 def conjugacy_class_size(tau) -> int:
     tau = validate_partition(tau)
     q, r = divmod(factorial(sum(tau)), centralizer_order(tau))
-    assert r == 0
+    if r:  # the centralizer order always divides n!; anything else is a bug
+        raise ArithmeticError(f"centralizer order of {tau} does not divide {sum(tau)}!")
     return q
 
 

@@ -7,16 +7,25 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from itertools import count
+from math import factorial
 
 import numpy as np
 
 from . import eigensolve, quotient, spectra
 from .characters import mn_character
 from .errors import SizeLimitError, VerificationError
-from .permutations import cayley_adjacency, enumerate_class_cycles, symmetric_group
+from .permutations import (
+    DENSE_ORDER_LIMIT,
+    cayley_adjacency,
+    enumerate_class_cycles,
+    symmetric_group,
+)
 from .young import format_partition, parse_partition
+
+#: largest degree whose whole group fits a dense adjacency matrix
+BRUTEFORCE_MAX_N = next(n for n in count(1) if factorial(n + 1) > DENSE_ORDER_LIMIT)
 
 
 def _bracket(lam) -> str:
@@ -24,7 +33,7 @@ def _bracket(lam) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    entries = spectra.full_spectrum(args.n, args.k, threads=args.threads)
+    entries = spectra.full_spectrum(args.n, args.k)
     if args.format == "json":
         print(spectra.spectrum_to_json(args.n, args.k, entries))
     elif args.format == "csv":
@@ -58,7 +67,7 @@ def cmd_lambda2(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    records = spectra.conjecture_check(args.n_max, threads=args.threads)
+    records = spectra.conjecture_check(args.n_max)
     failed = [r for r in records if not r.ok]
     if args.format == "json":
         print(
@@ -163,8 +172,8 @@ def cmd_char(args) -> int:
 
 
 def cmd_bruteforce(args) -> int:
-    if args.n > 6:
-        raise ValueError(f"brute force is capped at n <= 6, got n = {args.n}")
+    if args.n > BRUTEFORCE_MAX_N:
+        raise ValueError(f"brute force is capped at n <= {BRUTEFORCE_MAX_N}, got n = {args.n}")
     op = cayley_adjacency(
         symmetric_group(args.n), enumerate_class_cycles(args.n, args.n - args.k)
     )
@@ -223,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with quotient, brute-force, and Lanczos certification pipelines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_threads = os.cpu_count() or 1
 
     def add_nk(p, k_required=True):
         p.add_argument("--n", type=int, required=True)
@@ -232,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="full eigenvalue/multiplicity table")
     add_nk(p)
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    p.add_argument("--threads", type=int, default=default_threads)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("lambda2", help="largest eigenvalue strictly below the valency")
@@ -243,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture", help="sweep lambda2 against (k-1)/(n-1) * valency")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--format", choices=["table", "json"], default="table")
-    p.add_argument("--threads", type=int, default=default_threads)
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("table1", help="closed forms for the fourteen low-dimension shapes")
@@ -261,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True, help='cycle type, e.g. "3,1,1"')
     p.set_defaults(func=cmd_char)
 
-    p = sub.add_parser("bruteforce", help="dense adjacency spectrum vs character spectrum (n <= 6)")
+    p = sub.add_parser(
+        "bruteforce", help=f"dense adjacency spectrum vs character spectrum (n <= {BRUTEFORCE_MAX_N})"
+    )
     add_nk(p)
     p.set_defaults(func=cmd_bruteforce)
 

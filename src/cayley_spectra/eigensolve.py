@@ -20,6 +20,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import SizeLimitError, VerificationError
 from .permutations import (
+    DENSE_ORDER_LIMIT,
     alternating_group,
     cayley_adjacency,
     enumerate_class_cycles,
@@ -32,7 +33,6 @@ DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 0x5EED
 MAX_LANCZOS_ITERATIONS = 500
 INTEGRALITY_TOL = 1e-6
-DENSE_ORDER_LIMIT = 1000
 
 
 class MatrixOperator:

@@ -17,21 +17,18 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable
 
-from .characters import mn_character
+from .characters import character_on_long_cycle
 from .errors import SizeLimitError
 from .young import (
     Partition,
     dimension,
     enumerate_partitions,
-    enumerate_rim_hooks,
     format_partition,
-    remove_rim_hook,
     validate_partition,
 )
 
@@ -70,31 +67,16 @@ def resolve_max_n(explicit: int | None = None) -> int:
 def eigenvalue_for(lam, n: int, k: int) -> int:
     """Exact eigenvalue contributed by the shape ``lam``.
 
-    Always evaluated through the character recursion; in the unique-rim-hook
-    regime 3k+1 < n the single-hook closed evaluation is computed as well and
-    the two must agree.
+    The character on an (n-k)-cycle is a single Murnaghan-Nakayama peel: one
+    rim hook of length n-k comes off, weighted by the dimension of what is left.
     """
-    lam = validate_partition(lam)
-    if sum(lam) != n:
-        raise ValueError(f"{lam} is not a partition of {n}")
     c = class_size(n, k)
-    f = dimension(lam)
-    chi = mn_character(lam, (n - k,) + (1,) * k)
-    value = Fraction(chi * c, f)
+    chi = character_on_long_cycle(lam, n, k)
+    value = Fraction(chi * c, dimension(lam))
     if value.denominator != 1:
         raise ArithmeticError(
             f"non-integral eigenvalue {value} for shape {lam}, n = {n}, k = {k}: internal bug"
         )
-    if 3 * k + 1 < n:
-        hooks = enumerate_rim_hooks(lam, n - k)
-        assert len(hooks) <= 1, f"expected at most one (n-k)-hook for 3k+1 < n, shape {lam}"
-        if hooks:
-            single = Fraction(
-                (-1) ** hooks[0].leg_length * dimension(remove_rim_hook(lam, hooks[0])) * c, f
-            )
-        else:
-            single = Fraction(0)
-        assert single == value, f"fast path {single} != recursion {value} for {lam}"
     return int(value)
 
 
@@ -105,27 +87,29 @@ class SpectrumEntry:
     multiplicity: int
 
 
-def _spectrum_task(args: tuple[Partition, int, int]) -> SpectrumEntry:
-    lam, n, k = args
-    return SpectrumEntry(lam, eigenvalue_for(lam, n, k), dimension(lam) ** 2)
-
-
-def full_spectrum(n: int, k: int, max_n: int | None = None, threads: int = 1) -> list[SpectrumEntry]:
+def full_spectrum(n: int, k: int, max_n: int | None = None) -> list[SpectrumEntry]:
     """Entire spectrum of Cay(Sym(n), C(n,k)), one entry per shape, sorted by
-    eigenvalue descending (ties broken by shape enumeration order)."""
+    eigenvalue descending (ties broken by shape enumeration order).
+
+    The result is checked against the exact trace identities of the adjacency
+    matrix A: tr I = n!, tr A = 0 (no (n-k)-cycle is the identity) and
+    tr A^2 = n! |C(n,k)| (each vertex has |C(n,k)| closed 2-walks).
+    """
     bound = resolve_max_n(max_n)
     if n > bound:
         raise SizeLimitError(
             f"full_spectrum is capped at n <= {bound} (override with {MAX_N_ENV_VAR}), got n = {n}"
         )
-    class_size(n, k)  # range check on k
+    c = class_size(n, k)  # also the range check on k
     shapes = enumerate_partitions(n)
-    tasks = [(lam, n, k) for lam in shapes]
-    if threads > 1 and len(shapes) >= 32:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(_spectrum_task, tasks, chunksize=8))
-    else:
-        entries = [_spectrum_task(t) for t in tasks]
+    entries = [SpectrumEntry(lam, eigenvalue_for(lam, n, k), dimension(lam) ** 2) for lam in shapes]
+    traces = tuple(sum(e.multiplicity * e.eigenvalue**p for e in entries) for p in range(3))
+    expected = (factorial(n), 0, factorial(n) * c)
+    if traces != expected:
+        raise ArithmeticError(
+            f"spectrum of n = {n}, k = {k} fails the trace identities: "
+            f"(tr I, tr A, tr A^2) = {traces}, expected {expected}"
+        )
     order = {lam: i for i, lam in enumerate(shapes)}
     entries.sort(key=lambda e: (-e.eigenvalue, order[e.partition]))
     return entries
@@ -141,7 +125,8 @@ def lambda2(n: int, k: int, max_n: int | None = None) -> Lambda2:
     """Largest eigenvalue strictly below the valency, with every shape attaining it."""
     c = class_size(n, k)
     below = [e for e in full_spectrum(n, k, max_n=max_n) if e.eigenvalue < c]
-    assert below, "every non-trivial shape cannot attain the valency for n >= 2"
+    if not below:  # tr A = 0 forces some eigenvalue below the valency
+        raise ArithmeticError(f"no eigenvalue below the valency {c} for n = {n}, k = {k}")
     top = below[0].eigenvalue
     return Lambda2(top, tuple(e.partition for e in below if e.eigenvalue == top))
 
@@ -155,12 +140,14 @@ def _binom(a: int, b: int) -> int:
     Unlike math.comb this is defined for negative upper index (C(-1,2) = 1),
     which the k = 0, 1 closed forms rely on; for 0 <= a < b it is still 0.
     """
-    assert b >= 0
+    if b < 0:
+        raise ValueError(f"lower index must be non-negative, got {b}")
     num = 1
     for i in range(b):
         num *= a - i
     q, r = divmod(num, factorial(b))
-    assert r == 0
+    if r:  # b! divides any product of b consecutive integers
+        raise ArithmeticError(f"{b}! does not divide the falling factorial of {a}")
     return q
 
 
@@ -270,13 +257,13 @@ def hypothesis_check(n: int, k: int) -> HypothesisFlags:
       evaluated in double precision with a 1e-9 guard band (values inside the
       band are conservatively reported False).
     """
-    if n < 3 or k < 0:
-        raise ValueError(f"need n >= 3 and k >= 0, got n = {n}, k = {k}")
+    if n < 3 or not 0 <= k <= n - 2:
+        raise ValueError(f"need n >= 3 and 0 <= k <= n-2, got n = {n}, k = {k}")
     unique = 3 * k + 1 < n
     sqrt_bound = factorial(k) * (n - 1) ** 2 <= 9 * comb(n, 3) ** 2
     if k == 2:
         in_range = True
-    elif k < 2 or k > n:
+    elif k < 2:
         in_range = False
     else:
         arg = n * (n - 2) / (2 * math.e)
@@ -303,10 +290,10 @@ class ConjectureRecord:
         return self.value_matches and self.witness_found
 
 
-def _conjecture_task(args: tuple[int, int]) -> ConjectureRecord:
-    n, k = args
+def _conjecture_task(n: int, k: int) -> ConjectureRecord:
     expected = Fraction((k - 1) * class_size(n, k), n - 1)
-    assert expected.denominator == 1
+    if expected.denominator != 1:
+        raise ArithmeticError(f"(k-1)/(n-1) * valency is not an integer at n = {n}, k = {k}")
     result = lambda2(n, k)
     return ConjectureRecord(
         n=n,
@@ -319,7 +306,7 @@ def _conjecture_task(args: tuple[int, int]) -> ConjectureRecord:
     )
 
 
-def conjecture_check(n_max: int, threads: int = 1) -> list[ConjectureRecord]:
+def conjecture_check(n_max: int) -> list[ConjectureRecord]:
     """Sweep 3 <= n <= n_max, 2 <= k <= n-2: does the second eigenvalue equal
     (k-1)/(n-1) * valency, with [n-1,1] among the witnesses?"""
     if n_max > resolve_max_n(None):
@@ -327,11 +314,7 @@ def conjecture_check(n_max: int, threads: int = 1) -> list[ConjectureRecord]:
             f"conjecture_check is capped at n <= {resolve_max_n(None)} "
             f"(override with {MAX_N_ENV_VAR}), got n_max = {n_max}"
         )
-    tasks = [(n, k) for n in range(3, n_max + 1) for k in range(2, n - 1)]
-    if threads > 1 and len(tasks) >= 8:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_conjecture_task, tasks))
-    return [_conjecture_task(t) for t in tasks]
+    return [_conjecture_task(n, k) for n in range(3, n_max + 1) for k in range(2, n - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -139,44 +139,32 @@ class RimHook:
         return len(self.cells)
 
 
-def _is_border_strip(cells: frozenset[tuple[int, int]]) -> bool:
-    for r, c in cells:
-        if (r, c + 1) in cells and (r + 1, c) in cells and (r + 1, c + 1) in cells:
-            return False
-    # flood fill over edge-adjacency
-    start = next(iter(cells))
-    seen = {start}
-    todo = [start]
-    while todo:
-        r, c = todo.pop()
-        for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                todo.append(nb)
-    return len(seen) == len(cells)
-
-
 @cache
 def _rim_hooks(lam: Partition, length: int) -> tuple[RimHook, ...]:
-    n = sum(lam)
+    # Beta-set rule (James & Kerber 1981, 2.7): row r carries the bead
+    # lam[r] + rows-1-r, and a rim hook of this length is a bead moved onto an
+    # empty position `length` lower; the beads strictly between the two
+    # positions are the rows below the top one that the hook reaches into.
+    rows = len(lam)
+    beads = [part + rows - 1 - r for r, part in enumerate(lam)]
     found: list[RimHook] = []
-    for mu in _partitions(n - length):
-        if len(mu) > len(lam):
+    # bottom row first: a lower top row leaves a lexicographically larger leftover
+    for top in reversed(range(rows)):
+        target = beads[top] - length
+        if target < 0 or target in beads:
             continue
-        padded = mu + (0,) * (len(lam) - len(mu))
-        if any(m > l for m, l in zip(padded, lam)):
-            continue
-        cells = frozenset(
-            (r + 1, c + 1)
-            for r in range(len(lam))
-            for c in range(padded[r], lam[r])
-        )
-        if not _is_border_strip(cells):
-            continue
+        leg = sum(1 for b in beads[top + 1:] if b > target)
+        bottom = top + leg
+        # leftover row lengths: each spanned row but the last drops to the
+        # length of the row below minus one
+        left = [lam[r + 1] - 1 for r in range(top, bottom)] + [target - (rows - 1 - bottom)]
         # southwest-most first: bottom row upward, left to right within a row
-        ordered = tuple(sorted(cells, key=lambda rc: (-rc[0], rc[1])))
-        rows = {r for r, _ in cells}
-        found.append(RimHook(cells=ordered, leg_length=len(rows) - 1))
+        cells = tuple(
+            (r + 1, c + 1)
+            for r in range(bottom, top - 1, -1)
+            for c in range(left[r - top], lam[r])
+        )
+        found.append(RimHook(cells=cells, leg_length=leg))
     return tuple(found)
 
 
@@ -208,7 +196,8 @@ def remove_rim_hook(lam, hook: RimHook) -> Partition:
         new[r - 1] = first_col - 1
     while new and new[-1] == 0:
         new.pop()
-    assert all(new[i] >= new[i + 1] for i in range(len(new) - 1))
+    if any(new[i] < new[i + 1] for i in range(len(new) - 1)):
+        raise ArithmeticError(f"removing {hook} from {lam} left {new}, not a partition")
     return tuple(new)
 
 

@@ -98,6 +98,19 @@ def test_trace_and_second_moment():
             ) * class_size(n, k)
 
 
+def test_full_spectrum_rejects_a_wrong_eigenvalue(monkeypatch):
+    # one eigenvalue off by one must trip the trace identities, which are
+    # explicit raises and so also hold under python -O
+    import cayley_spectra.spectra as spectra
+
+    def off_by_one(lam, n, k):
+        return eigenvalue_for(lam, n, k) + (lam == (4, 2))
+
+    monkeypatch.setattr(spectra, "eigenvalue_for", off_by_one)
+    with pytest.raises(ArithmeticError, match="trace identities"):
+        full_spectrum(6, 2)
+
+
 def test_bipartite_symmetry_when_cycle_is_even_length():
     # even cycle length = odd permutation = bipartite graph = symmetric spectrum
     for n in range(2, 8):
@@ -288,12 +301,6 @@ def test_conjecture_check_small_range():
     assert by_pair[(6, 2)].value == 18
     assert by_pair[(6, 2)].expected == 18
     assert (5, 1) in by_pair[(6, 2)].witnesses
-
-
-def test_conjecture_check_deterministic_across_thread_counts():
-    serial = conjecture_check(8, threads=1)
-    parallel = conjecture_check(8, threads=2)
-    assert serial == parallel
 
 
 def test_conjecture_expected_value_formula():

@@ -175,6 +175,27 @@ def test_rim_hook_structure_exhaustively():
                     assert all(a >= b for a, b in zip(rest, rest[1:]))
 
 
+def test_rim_hook_enumeration_is_complete():
+    # the partition scan: the hooks of length n-m are exactly the skew
+    # diagrams lam/mu, mu a partition of m inside lam, that are border strips
+    for n in range(1, 11):
+        for lam in enumerate_partitions(n):
+            for m in range(n):
+                strips = set()
+                for mu in enumerate_partitions(m):
+                    padded = mu + (0,) * (len(lam) - len(mu))
+                    if len(mu) > len(lam) or any(a > b for a, b in zip(padded, lam)):
+                        continue
+                    cells = frozenset(
+                        (r + 1, c + 1) for r in range(len(lam)) for c in range(padded[r], lam[r])
+                    )
+                    if _cells_are_border_strip(cells):
+                        strips.add(cells)
+                hooks = enumerate_rim_hooks(lam, n - m)
+                assert len(hooks) == len(strips), (lam, n - m)
+                assert {frozenset(h.cells) for h in hooks} == strips, (lam, n - m)
+
+
 def test_rim_hook_uniqueness_for_long_cycles():
     """At most one way to peel an (n-k)-hook whenever 3k+1 < n."""
     for n in range(4, 19):
