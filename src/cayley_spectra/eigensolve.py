@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import SizeLimitError, VerificationError
 from .permutations import (
@@ -64,7 +63,7 @@ class DenseSpectrum:
 def dense_spectrum(source, assume_integral: bool = False) -> DenseSpectrum:
     """All eigenvalues of a symmetric matrix or materializable operator,
     descending.  With ``assume_integral`` every eigenvalue is rounded and the
-    rounding error asserted below 1e-8."""
+    rounding error checked below 1e-8."""
     if isinstance(source, np.ndarray):
         op = MatrixOperator(source)
     else:
@@ -127,6 +126,8 @@ def extremal_eigenvalues(
     dim = op.dim
     if not 1 <= count <= dim:
         raise ValueError(f"need 1 <= count <= dim, got count = {count}, dim = {dim}")
+    if not 0 < tol < 1:
+        raise ValueError(f"need 0 < tol < 1, got tol = {tol!r}")
     norm_bound = float(op.one_norm())
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(dim)
@@ -166,9 +167,9 @@ def extremal_eigenvalues(
         j += 1
 
         if j >= count:
-            theta, bottom = _ritz(alphas, betas)
+            theta, vectors = _tridiagonal_eigh(alphas, betas)
             idx = np.argsort(theta)[::-1][:count]
-            if all(b * abs(bottom[i]) <= target for i in idx):
+            if all(b * abs(vectors[-1, i]) <= target for i in idx):
                 converged = True
                 break
         if b <= breakdown_tol:
@@ -177,7 +178,7 @@ def extremal_eigenvalues(
         betas.append(b)
         pending = w  # already orthogonalized; normalized next round
 
-    theta, vectors = eigh_tridiagonal(np.array(alphas), np.array(betas[: j - 1]))
+    theta, vectors = _tridiagonal_eigh(alphas, betas)
     order = np.argsort(theta)[::-1][:count]
     values: list[float] = []
     residuals: list[float] = []
@@ -206,9 +207,13 @@ def extremal_eigenvalues(
     )
 
 
-def _ritz(alphas: list[float], betas: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    theta, vectors = eigh_tridiagonal(np.array(alphas), np.array(betas[: len(alphas) - 1]))
-    return theta, vectors[-1]
+def _tridiagonal_eigh(alphas: list[float], betas: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors (columns) of the symmetric
+    tridiagonal matrix with diagonal ``alphas`` and off-diagonal
+    ``betas[:len(alphas) - 1]``; a trailing beta not yet coupled to a basis
+    vector is ignored."""
+    off = betas[: len(alphas) - 1]
+    return np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +231,8 @@ def five_cycle_lambda2_formula(n: int) -> int:
     if n < 7:
         raise ValueError(f"the 5-cycle closed form needs n >= 7, got {n}")
     value = Fraction(n * (n - 2) * (n - 3) * (n - 4) * (n - 6), 5)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"the 5-cycle closed form is not an integer at n = {n}: {value}")
     return int(value)
 
 
@@ -339,6 +345,13 @@ def verify_recursive_5cycles(
     certificate = RecursiveCertificate(
         rows=tuple(rows), tol=tol, seed=seed, lambda2_formula=LAMBDA2_FORMULA
     )
-    # the certified formula must reproduce the n = 8 row it was verified on
-    assert five_cycle_lambda2_formula(RECURSIVE_DEGREE) == 384
+    # the certified formula must reproduce the k = 0 row it was verified on
+    formula = five_cycle_lambda2_formula(RECURSIVE_DEGREE)
+    if formula != rows[0].lambda2:
+        raise VerificationError(
+            f"the closed form {LAMBDA2_FORMULA} gives {formula} at n = {RECURSIVE_DEGREE}, "
+            f"but the certified k = 0 lambda2 is {rows[0].lambda2}",
+            formula=formula,
+            certified=rows[0].lambda2,
+        )
     return certificate

@@ -17,7 +17,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import SizeLimitError, VerificationError
 
 #: |Alt(9)| = 181440 is the largest group we will materialize element by element
 MAX_MATERIALIZED_DEGREE = 9
@@ -407,7 +407,8 @@ class CayleyOperator:
         src = np.arange(self.dim)
         for row in self._neighbor_rows():
             a[src, row] += 1
-        assert np.array_equal(a, a.T)
+        if not np.array_equal(a, a.T):
+            raise VerificationError("dense Cayley adjacency is not symmetric", dim=self.dim)
         return a
 
     def index_of(self, perm: Permutation) -> int:

@@ -72,7 +72,10 @@ def quotient_eigenvalues_gamma(n: int, k: int) -> tuple[int, int]:
     diagonal - off_diagonal, with multiplicity n-1.  Exact integers."""
     q = quotient_matrix_gamma(n, k)
     top = q.diagonal + (n - 1) * q.off_diagonal
-    assert top == class_size(n, k)
+    if top != class_size(n, k):
+        raise ArithmeticError(
+            f"quotient row sum {top} differs from the valency {class_size(n, k)} at n = {n}, k = {k}"
+        )
     return top, q.diagonal - q.off_diagonal
 
 

@@ -101,6 +101,13 @@ def test_hypothesis_rejects_k_past_n_minus_2(capsys):
     assert err == "error: need n >= 3 and 0 <= k <= n-2, got n = 10, k = 12\n"
 
 
+def test_verify_rejects_nan_tolerance(capsys):
+    code, out, err = run(capsys, "verify-recursive-5cycles", "--tol", "nan")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need 0 < tol < 1, got tol = nan\n"
+
+
 def test_bruteforce_match(capsys):
     code, out, _ = run(capsys, "bruteforce", "--n", "4", "--k", "1")
     assert code == 0

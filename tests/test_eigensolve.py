@@ -113,6 +113,12 @@ def test_extremal_count_validation():
         extremal_eigenvalues(MatrixOperator(K4), count=5)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, 1.0])
+def test_extremal_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol"):
+        extremal_eigenvalues(gamma51(), count=2, tol=tol)
+
+
 def test_matrix_operator_requires_square():
     with pytest.raises(ValueError):
         MatrixOperator(np.ones((2, 3)))
