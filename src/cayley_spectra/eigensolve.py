@@ -20,6 +20,9 @@ import numpy as np
 from .errors import SizeLimitError, VerificationError
 from .permutations import (
     DENSE_ORDER_LIMIT,
+    CayleyOperator,
+    GroupSlice,
+    Permutation,
     alternating_group,
     cayley_adjacency,
     enumerate_class_cycles,
@@ -97,12 +100,22 @@ class ExtremalResult:
     seed: int
 
 
+def _product(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    # einsum without `optimize` never calls BLAS: a threaded BLAS product on these
+    # long vectors leaves its idle threads spinning through the next matvec
+    return np.einsum(subscripts, *operands)
+
+
+def _norm(v: np.ndarray) -> float:
+    return float(np.sqrt(_product("i,i", v, v)))
+
+
 def _check_symmetry(op, rng: np.random.Generator, norm_bound: float) -> None:
     x = rng.standard_normal(op.dim)
     y = rng.standard_normal(op.dim)
     ax, ay = op.matvec(x), op.matvec(y)
-    gap = abs(float(ax @ y) - float(x @ ay))
-    scale = norm_bound * float(np.linalg.norm(x)) * float(np.linalg.norm(y))
+    gap = abs(float(_product("i,i", ax, y)) - float(_product("i,i", x, ay)))
+    scale = norm_bound * _norm(x) * _norm(y)
     if gap > 1e-10 * max(scale, 1.0):
         raise VerificationError(
             "operator is not symmetric", gap=gap, scale=scale
@@ -147,8 +160,8 @@ def extremal_eigenvalues(
         # install the next basis vector (fresh random direction after breakdown)
         vec = pending if pending is not None else rng.standard_normal(dim)
         for _ in range(2):
-            vec = vec - basis[:j].T @ (basis[:j] @ vec)
-        nrm = float(np.linalg.norm(vec))
+            vec = vec - _product("ij,i->j", basis[:j], _product("ij,j->i", basis[:j], vec))
+        nrm = _norm(vec)
         if nrm <= breakdown_tol * 10:
             break  # the whole space is spanned
         if pending is None and j:
@@ -156,14 +169,14 @@ def extremal_eigenvalues(
         basis[j] = vec / nrm
 
         w = op.matvec(basis[j])
-        a = float(basis[j] @ w)
+        a = float(_product("i,i", basis[j], w))
         alphas.append(a)
         w -= a * basis[j]
         if j and betas and len(betas) == j:
             w -= betas[-1] * basis[j - 1]
         for _ in range(2):
-            w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
-        b = float(np.linalg.norm(w))
+            w -= _product("ij,i->j", basis[: j + 1], _product("ij,j->i", basis[: j + 1], w))
+        b = _norm(w)
         j += 1
 
         if j >= count:
@@ -184,10 +197,10 @@ def extremal_eigenvalues(
     residuals: list[float] = []
     integers: list[int | None] = []
     for i in order:
-        ritz_vector = basis[:j].T @ vectors[:, i]
-        ritz_vector /= np.linalg.norm(ritz_vector)
+        ritz_vector = _product("ij,i->j", basis[:j], vectors[:, i])
+        ritz_vector /= _norm(ritz_vector)
         value = float(theta[i])
-        residual = float(np.linalg.norm(op.matvec(ritz_vector) - value * ritz_vector))
+        residual = _norm(op.matvec(ritz_vector) - value * ritz_vector)
         certified = residual <= target
         values.append(value)
         residuals.append(residual)
@@ -288,6 +301,28 @@ class RecursiveCertificate:
         )
 
 
+def _depth(t: Permutation) -> int:
+    """Largest k <= RECURSIVE_MAX_K with {1..k} inside the support of ``t``."""
+    support = t.support()
+    depth = 0
+    while depth < RECURSIVE_MAX_K and depth + 1 in support:
+        depth += 1
+    return depth
+
+
+def filtration_operators(group: GroupSlice, cycles: list[Permutation]) -> list[CayleyOperator]:
+    """Operators of Cay(group, T_k ∩ group) for k = 0..RECURSIVE_MAX_K, where
+    T_k = ``t_filtration(cycles, k)``.
+
+    The level-0 connection is sorted stably by depth, deepest first, so every
+    T_k is a prefix of it and all levels share one neighbor table.
+    """
+    connection = sorted((t for t in cycles if group.contains(t)), key=_depth, reverse=True)
+    full = cayley_adjacency(group, connection)
+    counts = [len(t_filtration(connection, k)) for k in range(RECURSIVE_MAX_K + 1)]
+    return [full.prefix(count) for count in counts]
+
+
 def verify_recursive_5cycles(
     tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED
 ) -> RecursiveCertificate:
@@ -306,10 +341,8 @@ def verify_recursive_5cycles(
     group = alternating_group(RECURSIVE_DEGREE)
     cycles = enumerate_class_cycles(RECURSIVE_DEGREE, RECURSIVE_CYCLE_LENGTH)
     rows: list[RecursiveCheckRow] = []
-    for k in range(RECURSIVE_MAX_K + 1):
+    for k, operator in enumerate(filtration_operators(group, cycles)):
         filtered = t_filtration(cycles, k)
-        connection = [t for t in filtered if group.contains(t)]
-        operator = cayley_adjacency(group, connection)
         result = extremal_eigenvalues(operator, count=2, tol=tol, seed=seed)
         rhs = quotient_lambda2_recursive(filtered, group, k)
         lam1, lam2 = result.integers

@@ -333,13 +333,75 @@ def coset_count(
     return count
 
 
+class _RankLookup:
+    """Rank of t * g for every member g of a slice, read from one lookup table.
+
+    With m free points, members that agree on their first m-2 free-point
+    images differ only in the order of the last two, so they sit next to each
+    other in lexicographic order, ascending pair first; an even-only slice
+    keeps exactly one of the two.  The table maps the base-m key of those m-2
+    images, free points numbered 0..m-1, to the rank of the first member with
+    them, and holds -1 where no member has them.  For Alt(8) it has 8^6 int32
+    entries, 1 MB.
+    """
+
+    def __init__(self, slice_: GroupSlice):
+        members = _member_matrix(slice_)
+        free = np.array(slice_.free_points(), dtype=np.intp) - 1
+        m = len(free)
+        head = max(m - 2, 0)
+        self._weights = m ** np.arange(head - 1, -1, -1, dtype=np.int32)
+        self._digits = np.zeros(slice_.degree, dtype=np.int32)
+        self._digits[free] = np.arange(m)
+        # flat positions of the head images in a (head, degree) table of weighted digits
+        self._heads = members[:, free[:head]].T + (np.arange(head) * slice_.degree)[:, None]
+        # the two orders of the last two images are both members only in a full slice
+        self._tails = members[:, free[head:]].T if m >= 2 and not slice_.even_only else None
+        step = 1 if self._tails is None else 2
+        self._lookup = np.full(m**head, -1, dtype=np.int32)
+        keys = self._keys(np.arange(slice_.degree))
+        self._lookup[keys[::step]] = np.arange(0, slice_.order, step, dtype=np.int32)
+
+    def _keys(self, t0: np.ndarray) -> np.ndarray:
+        weighted = np.outer(self._weights, self._digits[t0]).ravel()
+        return weighted[self._heads].sum(axis=0, dtype=np.int32)
+
+    def ranks(self, t0: np.ndarray) -> np.ndarray:
+        """Ranks of t * g for every member g; ``t0`` holds t's 0-based images
+        and t must lie in the slice."""
+        ranks = self._lookup[self._keys(t0)]
+        if ranks.min() < 0:
+            raise VerificationError("a composed permutation is not a member of the vertex group")
+        if self._tails is not None:
+            ranks += t0[self._tails[0]] > t0[self._tails[1]]
+        return ranks
+
+
+def _neighbor_table(slice_: GroupSlice, connection: list[Permutation]) -> np.ndarray:
+    """(len(connection), order); row j holds the rank of t_j * g for every member g,
+    in the smallest unsigned dtype that holds every rank (uint16 up to degree 8)."""
+    lookup = _RankLookup(slice_)
+    dtype = np.min_scalar_type(slice_.order - 1)
+    rows = np.empty((len(connection), slice_.order), dtype=dtype)
+    for j, t in enumerate(connection):
+        if not slice_.contains(t):
+            raise VerificationError(
+                "connection does not stabilize the vertex group", element=t, slice=slice_
+            )
+        rows[j] = lookup.ranks(np.array(t.images, dtype=np.intp) - 1)
+    return rows
+
+
 class CayleyOperator:
     """Implicit adjacency operator of Cay(slice, connection).
 
-    Matvecs accumulate x[index(t * g)] over the connection set; the per-t
-    index arrays are built once with a radix encoding and a binary search into
-    the sorted member table (lexicographic rank). 32-bit indices, so the
-    densest degree-8 case costs about 108 MB.
+    Matvecs accumulate x[index(t * g)] over the connection set from a table
+    of neighbor ranks, one row per connection element, built once by a
+    direct lookup on each composed permutation's free-point images.  Ranks
+    are stored in the smallest unsigned dtype that holds them, so the densest
+    degree-8 table, all 1344 5-cycles on Alt(8) in uint16, takes about 54 MB;
+    :meth:`prefix` serves a leading part of the connection from the same
+    table without a copy.
     """
 
     def __init__(self, slice_: GroupSlice, connection: list[Permutation]):
@@ -370,28 +432,32 @@ class CayleyOperator:
         """Max absolute column sum; for a 0/1 adjacency this is the valency."""
         return self.valency
 
+    def prefix(self, count: int) -> "CayleyOperator":
+        """Operator of the first ``count`` connection elements, validated like any
+        other; its neighbor table is a row-slice view of this operator's."""
+        if not 0 <= count <= self.valency:
+            raise ValueError(f"need 0 <= count <= {self.valency}, got count = {count}")
+        op = CayleyOperator(self.slice, self.connection[:count])
+        op._rows = self._neighbor_rows()[:count]
+        return op
+
     def _neighbor_rows(self) -> np.ndarray:
-        """(valency, dim) int32; row j holds index(t_j * g) for every vertex g."""
+        """(valency, dim); row j holds index(t_j * g) for every vertex g."""
         if self._rows is None:
-            members = _member_matrix(self.slice)
-            radix = self.slice.degree ** np.arange(self.slice.degree - 1, -1, -1, dtype=np.int64)
-            keys = members.astype(np.int64) @ radix  # ascending: rows are lex sorted
-            rows = np.empty((len(self.connection), self.dim), dtype=np.int32)
-            for j, t in enumerate(self.connection):
-                t0 = np.array(t.images, dtype=np.int64) - 1
-                composed_keys = t0[members].astype(np.int64) @ radix
-                idx = np.searchsorted(keys, composed_keys)
-                if not np.array_equal(keys[idx], composed_keys):
-                    raise AssertionError("connection does not stabilize the vertex group")
-                rows[j] = idx
-            self._rows = rows
+            self._rows = _neighbor_table(self.slice, self.connection)
         return self._rows
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        rows = self._neighbor_rows()
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.dim,):
+            raise ValueError(f"expected a vector of length {self.dim}, got shape {x.shape}")
         y = np.zeros(self.dim, dtype=np.float64)
-        for row in rows:
-            y += x[row]
+        buf = np.empty(self.dim, dtype=np.float64)
+        for row in self._neighbor_rows():
+            # every entry is a rank below dim = len(x), so "clip" never clips; it
+            # skips the bounds check and the copy take() adds under mode="raise"
+            np.take(x, row, out=buf, mode="clip")
+            y += buf
         return y
 
     def neighbors(self, vertex: int) -> list[int]:

@@ -70,9 +70,14 @@ def eigenvalue_for(lam, n: int, k: int) -> int:
     The character on an (n-k)-cycle is a single Murnaghan-Nakayama peel: one
     rim hook of length n-k comes off, weighted by the dimension of what is left.
     """
-    c = class_size(n, k)
+    return _eigenvalue(lam, n, k, class_size(n, k), dimension(lam))
+
+
+def _eigenvalue(lam, n: int, k: int, c: int, dim: int) -> int:
+    """:func:`eigenvalue_for` with the class size ``c`` and the dimension
+    ``dim`` of ``lam`` already known."""
     chi = character_on_long_cycle(lam, n, k)
-    value = Fraction(chi * c, dimension(lam))
+    value = Fraction(chi * c, dim)
     if value.denominator != 1:
         raise ArithmeticError(
             f"non-integral eigenvalue {value} for shape {lam}, n = {n}, k = {k}: internal bug"
@@ -102,7 +107,10 @@ def full_spectrum(n: int, k: int, max_n: int | None = None) -> list[SpectrumEntr
         )
     c = class_size(n, k)  # also the range check on k
     shapes = enumerate_partitions(n)
-    entries = [SpectrumEntry(lam, eigenvalue_for(lam, n, k), dimension(lam) ** 2) for lam in shapes]
+    entries = []
+    for lam in shapes:
+        dim = dimension(lam)
+        entries.append(SpectrumEntry(lam, _eigenvalue(lam, n, k, c, dim), dim**2))
     traces = tuple(sum(e.multiplicity * e.eigenvalue**p for e in entries) for p in range(3))
     expected = (factorial(n), 0, factorial(n) * c)
     if traces != expected:

@@ -55,18 +55,25 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return list(_partitions(n))
 
 
+def _conjugate(lam: Partition) -> Partition:
+    conj = []
+    rows = len(lam)
+    for c in range(lam[0] if lam else 0):
+        while lam[rows - 1] <= c:  # the last row counted stops short of column c
+            rows -= 1
+        conj.append(rows)
+    return tuple(conj)
+
+
 def transpose(lam) -> Partition:
     """Conjugate partition (reflect the diagram across the main diagonal)."""
-    lam = validate_partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > c) for c in range(lam[0]))
+    return _conjugate(validate_partition(lam))
 
 
 def hook_lengths(lam) -> list[list[int]]:
     """Hook length of every cell, as a row-by-row grid."""
     lam = validate_partition(lam)
-    conj = transpose(lam)
+    conj = _conjugate(lam)
     return [
         [(lam[r] - c - 1) + (conj[c] - r - 1) + 1 for c in range(lam[r])]
         for r in range(len(lam))
@@ -75,11 +82,13 @@ def hook_lengths(lam) -> list[list[int]]:
 
 @cache
 def _dimension(lam: Partition) -> int:
+    # lam is already validated: dimension() is the only caller
     n = sum(lam)
+    conj = _conjugate(lam)
     denom = 1
-    for row in hook_lengths(lam):
-        for h in row:
-            denom *= h
+    for row, part in enumerate(lam):
+        for c in range(part):
+            denom *= part - c + conj[c] - row - 1  # the hook length of cell (row, c)
     q, r = divmod(factorial(n), denom)
     if r:  # the hook product always divides n!; anything else is a bug
         raise ArithmeticError(f"hook product {denom} does not divide {n}!")

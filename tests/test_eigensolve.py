@@ -15,13 +15,16 @@ from cayley_spectra.eigensolve import (
     MatrixOperator,
     dense_spectrum,
     extremal_eigenvalues,
+    filtration_operators,
     five_cycle_lambda2_formula,
 )
 from cayley_spectra.errors import SizeLimitError, VerificationError
 from cayley_spectra.permutations import (
+    alternating_group,
     cayley_adjacency,
     enumerate_class_cycles,
     symmetric_group,
+    t_filtration,
 )
 
 K4 = np.ones((4, 4)) - np.eye(4)
@@ -130,3 +133,23 @@ def test_five_cycle_formula():
     assert five_cycle_lambda2_formula(12) == 10368
     with pytest.raises(ValueError):
         five_cycle_lambda2_formula(6)
+
+
+def test_filtration_levels_are_prefixes_of_one_table():
+    group = alternating_group(8)
+    cycles = enumerate_class_cycles(8, 5)
+    operators = filtration_operators(group, cycles)
+    table = operators[0]._neighbor_rows()
+    x = np.random.default_rng(3).standard_normal(group.order)
+    assert len(operators) == 5
+    for k, op in enumerate(operators):
+        connection = [t for t in t_filtration(cycles, k) if group.contains(t)]
+        fresh = cayley_adjacency(group, connection)
+        rows = op._neighbor_rows()
+        assert np.shares_memory(rows, table)
+        position = {t: i for i, t in enumerate(op.connection)}
+        assert sorted(position.values()) == list(range(len(connection)))
+        # the same rows as the fresh build, matched element by element
+        assert np.array_equal(rows[[position[t] for t in connection]], fresh._neighbor_rows())
+        # the sums run in another order: at most 1344 terms of size ~4, so 1e-9 is loose
+        assert np.allclose(op.matvec(x), fresh.matvec(x), rtol=0, atol=1e-9)

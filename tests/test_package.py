@@ -25,14 +25,46 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def run_python(*args, check=True):
     path = os.pathsep.join([str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run(
-        [sys.executable, "-c", "import cayley_spectra.cli, sys; print('scipy' in sys.modules)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=check
     )
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    out = run_python("-c", "import cayley_spectra.cli, sys; print('scipy' in sys.modules)")
     assert out.stdout == "False\n"
+
+
+#: triggers each explicit invariant raise and prints the ones that fired; run
+#: under python -O, where an assert in their place would be stripped
+INVARIANTS_UNDER_O = """
+import sys
+import cayley_spectra.spectra as spectra
+from cayley_spectra.errors import VerificationError
+from cayley_spectra.permutations import Permutation, _neighbor_table, alternating_group
+
+assert False, "asserts are stripped under -O"
+fired = []
+peel = spectra._eigenvalue
+spectra._eigenvalue = lambda lam, n, k, c, dim: peel(lam, n, k, c, dim) + (lam == (4, 2))
+try:
+    spectra.full_spectrum(6, 2)
+except ArithmeticError as exc:
+    fired.append("trace identities" in str(exc))
+try:
+    _neighbor_table(alternating_group(5), [Permutation.from_cycles(5, [(1, 2)])])
+except VerificationError as exc:
+    fired.append("does not stabilize" in str(exc))
+print(sys.flags.optimize, fired)
+"""
+
+
+def test_invariants_fire_under_python_O():
+    out = run_python("-O", "-c", INVARIANTS_UNDER_O)
+    assert out.stdout == "1 [True, True]\n"
+    cli = run_python("-O", "-m", "cayley_spectra.cli", "verify-recursive-5cycles", "--tol", "nan", check=False)
+    assert cli.returncode == 2
+    assert cli.stderr == "error: need 0 < tol < 1, got tol = nan\n"

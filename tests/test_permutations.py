@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cayley_spectra.errors import SizeLimitError
+from cayley_spectra.errors import SizeLimitError, VerificationError
 from cayley_spectra.permutations import (
     CayleyOperator,
     GroupSlice,
     Permutation,
+    _member_matrix,
+    _neighbor_table,
     alternating_group,
     cayley_adjacency,
     coset_count,
@@ -246,6 +248,10 @@ def test_operator_neighbors_and_matvec():
     for _ in range(3):
         x = rng.standard_normal(op.dim)
         assert np.allclose(op.matvec(x), dense @ x)
+    for bad in (np.ones(op.dim - 1), np.ones((op.dim, 1))):
+        with pytest.raises(ValueError, match="length"):
+            op.matvec(bad)
+    assert np.array_equal(op.matvec(np.arange(op.dim)), dense @ np.arange(op.dim))
     members = slice_.members()
     for v in (0, 5, 23):
         expected = sorted(op.index_of(t * members[v]) for t in connection)
@@ -283,7 +289,84 @@ def test_operator_validates_connection():
         cayley_adjacency(s4, enumerate_class_cycles(5, 3))  # degree mismatch
 
 
+def test_operator_prefix_is_validated_and_shares_the_table():
+    op = cayley_adjacency(symmetric_group(4), enumerate_class_cycles(4, 3))
+    with pytest.raises(ValueError, match="inverse-closed"):
+        op.prefix(1)  # (1 2 3) without (1 3 2)
+    for bad in (-1, op.valency + 1):
+        with pytest.raises(ValueError):
+            op.prefix(bad)
+    pair = op.prefix(2)
+    assert pair.connection == op.connection[:2]
+    assert np.shares_memory(pair._neighbor_rows(), op._neighbor_rows())
+    assert np.array_equal(pair.dense(), brute_adjacency(pair.slice, pair.connection))
+
+
 def test_operator_dense_cap():
     op = cayley_adjacency(symmetric_group(7), enumerate_class_cycles(7, 2))
     with pytest.raises(SizeLimitError):
         op.dense()
+
+
+# --- neighbor table against the binary-search oracle ----------------------
+
+
+def searchsorted_table(slice_, connection):
+    """The former table build: radix keys of the members, one binary search per element."""
+    members = _member_matrix(slice_)
+    radix = slice_.degree ** np.arange(slice_.degree - 1, -1, -1, dtype=np.int64)
+    keys = members.astype(np.int64) @ radix  # ascending: rows are lex sorted
+    rows = np.empty((len(connection), slice_.order), dtype=np.int32)
+    for j, t in enumerate(connection):
+        t0 = np.array(t.images, dtype=np.int64) - 1
+        composed_keys = t0[members].astype(np.int64) @ radix
+        idx = np.searchsorted(keys, composed_keys)
+        assert np.array_equal(keys[idx], composed_keys)
+        rows[j] = idx
+    return rows
+
+
+TABLE_SLICES = (
+    [symmetric_group(n) for n in range(2, 8)]
+    + [alternating_group(n) for n in range(3, 9)]
+    + [
+        GroupSlice(1),
+        GroupSlice(2, even_only=True),
+        GroupSlice(3, fixed=frozenset({1, 2, 3})),
+        GroupSlice(5, fixed=frozenset({3})),
+        GroupSlice(5, even_only=True, fixed=frozenset({1, 4})),
+        GroupSlice(6, fixed=frozenset({2, 5})),
+        GroupSlice(6, even_only=True, fixed=frozenset({2})),
+    ]
+)
+
+
+@pytest.mark.parametrize("slice_", TABLE_SLICES, ids=repr)
+def test_neighbor_table_matches_searchsorted_oracle(slice_):
+    members = slice_.members()
+    # every member of the small slices; a spread of members elsewhere (each
+    # one composes with every vertex, so each row checks every rank)
+    step = max(1, len(members) // 97)
+    connection = members[::step] + members[-1:]
+    table = _neighbor_table(slice_, connection)
+    assert table.dtype == (np.uint8 if slice_.order <= 256 else np.uint16)
+    assert np.array_equal(table, searchsorted_table(slice_, connection))
+
+
+def test_neighbor_table_widens_past_uint16():
+    a9 = alternating_group(9)  # 181440 vertices: ranks need more than 16 bits
+    connection = [Permutation.from_cycles(9, [(1, 2, 3)]), Permutation.from_cycles(9, [(9, 4, 6)])]
+    table = _neighbor_table(a9, connection)
+    assert table.dtype == np.uint32
+    assert np.array_equal(table, searchsorted_table(a9, connection))
+
+
+def test_neighbor_table_rejects_an_element_outside_the_slice():
+    odd = Permutation.from_cycles(5, [(1, 2)])
+    moves_fixed = Permutation.from_cycles(6, [(2, 5)])  # swaps the two fixed points
+    for slice_, outsider in (
+        (alternating_group(5), odd),
+        (GroupSlice(6, fixed=frozenset({2, 5})), moves_fixed),
+    ):
+        with pytest.raises(VerificationError, match="does not stabilize"):
+            _neighbor_table(slice_, [Permutation.identity(slice_.degree), outsider])

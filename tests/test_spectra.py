@@ -103,10 +103,12 @@ def test_full_spectrum_rejects_a_wrong_eigenvalue(monkeypatch):
     # explicit raises and so also hold under python -O
     import cayley_spectra.spectra as spectra
 
-    def off_by_one(lam, n, k):
-        return eigenvalue_for(lam, n, k) + (lam == (4, 2))
+    peel = spectra._eigenvalue  # full_spectrum's per-shape eigenvalue
 
-    monkeypatch.setattr(spectra, "eigenvalue_for", off_by_one)
+    def off_by_one(lam, n, k, c, dim):
+        return peel(lam, n, k, c, dim) + (lam == (4, 2))
+
+    monkeypatch.setattr(spectra, "_eigenvalue", off_by_one)
     with pytest.raises(ArithmeticError, match="trace identities"):
         full_spectrum(6, 2)
 
