@@ -1,14 +1,13 @@
 """Exact spectra of normal Cayley graphs on Sym(n) generated by (n-k)-cycles.
 
 The headline objects: symmetric-group characters via the hook-removal
-recursion, eigenvalues chi(sigma)/f * |class| with multiplicity f^2,
-closed forms for the fourteen low-dimension shapes, quotient matrices of
+recursion, eigenvalues chi(sigma)/f * |class| from beta-sets with multiplicity
+f^2, closed forms for the fourteen low-dimension shapes, quotient matrices of
 the point-stabilizer coset partition, dense brute-force spectra, and a
 Lanczos certification pipeline for the filtered 5-cycle graphs on Alt(8).
 """
 
 from .characters import (
-    character_on_long_cycle,
     character_table,
     character_table_csv,
     conjugacy_class_size,
@@ -86,7 +85,6 @@ __all__ = [
     "VerificationError",
     "alternating_group",
     "cayley_adjacency",
-    "character_on_long_cycle",
     "character_table",
     "character_table_csv",
     "class_size",

@@ -13,13 +13,12 @@ from functools import cache
 from math import factorial
 
 from .errors import SizeLimitError
+from .spectra import MAX_N_ENV_VAR, resolve_max_n
 from .young import (
     Partition,
-    dimension,
+    _rim_hooks,
     enumerate_partitions,
-    enumerate_rim_hooks,
     format_partition,
-    remove_rim_hook,
     validate_partition,
 )
 
@@ -35,35 +34,24 @@ def _mn(lam: Partition, tau: CycleType) -> int:
         return 1
     head, rest = tau[0], tau[1:]
     total = 0
-    for hook in enumerate_rim_hooks(lam, head):
-        total += (-1) ** hook.leg_length * _mn(remove_rim_hook(lam, hook), rest)
+    for hook, left in _rim_hooks(lam, head):
+        total += (-1) ** hook.leg_length * _mn(left, rest)
     return total
 
 
 def mn_character(lam, tau) -> int:
-    """Character of the irreducible indexed by ``lam`` on the class of type ``tau``."""
+    """Character of the irreducible indexed by ``lam`` on the class of type ``tau``,
+    capped like :func:`~cayley_spectra.spectra.full_spectrum` (one recursion level per cycle)."""
     lam = validate_partition(lam)
     tau = validate_partition(tau)
     if sum(lam) != sum(tau):
         raise ValueError(f"size mismatch: |{lam}| = {sum(lam)} but |{tau}| = {sum(tau)}")
+    bound = resolve_max_n()
+    if sum(lam) > bound:
+        raise SizeLimitError(
+            f"mn_character is capped at n <= {bound} (override with {MAX_N_ENV_VAR}), got n = {sum(lam)}"
+        )
     return _mn(lam, tau)
-
-
-def character_on_long_cycle(lam, n: int, k: int) -> int:
-    """Character value on the class of type (n-k, 1^k), summed over rim hooks directly.
-
-    This is the single-peel evaluation: one rim hook of length n-k comes off,
-    and what is left is weighted by the dimension of the remainder.
-    """
-    lam = validate_partition(lam)
-    if sum(lam) != n:
-        raise ValueError(f"{lam} is not a partition of {n}")
-    if not 0 <= k <= n - 2:
-        raise ValueError(f"need 0 <= k <= n-2, got k = {k}, n = {n}")
-    total = 0
-    for hook in enumerate_rim_hooks(lam, n - k):
-        total += (-1) ** hook.leg_length * dimension(remove_rim_hook(lam, hook))
-    return total
 
 
 def centralizer_order(tau) -> int:

@@ -15,17 +15,16 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable
 
-from .characters import character_on_long_cycle
 from .errors import SizeLimitError
 from .young import (
     Partition,
+    beta_set,
     dimension,
     enumerate_partitions,
     format_partition,
@@ -34,9 +33,6 @@ from .young import (
 
 DEFAULT_MAX_N = 14
 MAX_N_ENV_VAR = "CAYLEY_SPECTRA_MAX_N"
-
-#: guard band for the floating-point log inequality in hypothesis_check
-LOG_GUARD = 1e-9
 
 
 def class_size(n: int, k: int) -> int:
@@ -65,24 +61,36 @@ def resolve_max_n(explicit: int | None = None) -> int:
 
 
 def eigenvalue_for(lam, n: int, k: int) -> int:
-    """Exact eigenvalue contributed by the shape ``lam``.
+    """Exact eigenvalue contributed by the shape ``lam``, from its beta-set alone."""
+    lam = validate_partition(lam)
+    if sum(lam) != n:
+        raise ValueError(f"{lam} is not a partition of {n}")
+    class_size(n, k)  # the range check on k
+    return _eigenvalue(lam, n - k)
 
-    The character on an (n-k)-cycle is a single Murnaghan-Nakayama peel: one
-    rim hook of length n-k comes off, weighted by the dimension of what is left.
-    """
-    return _eigenvalue(lam, n, k, class_size(n, k), dimension(lam))
 
-
-def _eigenvalue(lam, n: int, k: int, c: int, dim: int) -> int:
-    """:func:`eigenvalue_for` with the class size ``c`` and the dimension
-    ``dim`` of ``lam`` already known."""
-    chi = character_on_long_cycle(lam, n, k)
-    value = Fraction(chi * c, dim)
-    if value.denominator != 1:
-        raise ArithmeticError(
-            f"non-integral eigenvalue {value} for shape {lam}, n = {n}, k = {k}: internal bug"
-        )
-    return int(value)
+def _eigenvalue(lam: Partition, m: int) -> int:
+    """chi(sigma) |C| / f for the validated shape ``lam`` and the class C of
+    m-cycles: (1/m) sum_i [b_i]_m prod_{j != i} (b_i - m - b_j) / (b_i - b_j)
+    over the beta-set b, with [b]_m = b(b-1)...(b-m+1).  Term i peels the
+    m-rim hook that moves bead b_i to the free position b_i - m, and takes both
+    dimensions from Frobenius' formula (James & Kerber 1981, 2.7)."""
+    beads = beta_set(lam)
+    num, den = 0, 1  # the running sum over i, as one fraction
+    for b in beads:
+        target = b - m
+        if target < 0 or target in beads:
+            continue
+        term_num, term_den = prod(range(b, target, -1)), 1
+        for other in beads:
+            if other != b:
+                term_num *= target - other
+                term_den *= b - other
+        num, den = num * term_den + term_num * den, den * term_den
+    value, r = divmod(num, den * m)
+    if r:
+        raise ArithmeticError(f"non-integral eigenvalue for shape {lam} on {m}-cycles: internal bug")
+    return value
 
 
 @dataclass(frozen=True)
@@ -107,10 +115,7 @@ def full_spectrum(n: int, k: int, max_n: int | None = None) -> list[SpectrumEntr
         )
     c = class_size(n, k)  # also the range check on k
     shapes = enumerate_partitions(n)
-    entries = []
-    for lam in shapes:
-        dim = dimension(lam)
-        entries.append(SpectrumEntry(lam, _eigenvalue(lam, n, k, c, dim), dim**2))
+    entries = [SpectrumEntry(lam, _eigenvalue(lam, n - k), dimension(lam) ** 2) for lam in shapes]
     traces = tuple(sum(e.multiplicity * e.eigenvalue**p for e in entries) for p in range(3))
     expected = (factorial(n), 0, factorial(n) * c)
     if traces != expected:
@@ -260,27 +265,32 @@ def hypothesis_check(n: int, k: int) -> HypothesisFlags:
     * ``unique_rimhook_range``: 3k+1 < n, exact integers.
     * ``sqrtkfact_bound_holds``: k! (n-1)^2 <= 9 C(n,3)^2, exact integers
       (the square of sqrt(k!) <= 3/(n-1) * C(n,3)).
-    * ``in_main_theorem_range``: k = 2 is its own small case; for k >= 3 the
-      base-(k/e) log inequality k <= min(n, 2 log_{k/e}(n(n-2)/(2e)) - 1) is
-      evaluated in double precision with a 1e-9 guard band (values inside the
-      band are conservatively reported False).
+    * ``in_main_theorem_range``: k = 2 is its own small case; for k >= 3 it is
+      k <= 2 log_{k/e}(n(n-2)/(2e)) - 1, that is (k/e)^((k+1)/2) <= n(n-2)/(2e),
+      decided exactly as 4 k^(k+1) < n^2 (n-2)^2 e^(k-1).  The right side grows
+      with n, so once the flag holds it holds for every larger n.
     """
     if n < 3 or not 0 <= k <= n - 2:
         raise ValueError(f"need n >= 3 and 0 <= k <= n-2, got n = {n}, k = {k}")
     unique = 3 * k + 1 < n
     sqrt_bound = factorial(k) * (n - 1) ** 2 <= 9 * comb(n, 3) ** 2
-    if k == 2:
-        in_range = True
-    elif k < 2:
-        in_range = False
-    else:
-        arg = n * (n - 2) / (2 * math.e)
-        if arg <= 1.0:
-            in_range = False
-        else:
-            bound = 2 * math.log(arg) / math.log(k / math.e) - 1
-            in_range = k <= min(n, bound - LOG_GUARD)
+    in_range = k == 2 or (k > 2 and _below_e_power(4 * k ** (k + 1), (n * (n - 2)) ** 2, k - 1))
     return HypothesisFlags(in_range, unique, sqrt_bound)
+
+
+def _below_e_power(a: int, b: int, p: int) -> bool:
+    """Whether a < b e^p (integers, b > 0, p >= 1), from bounds s_j < e < s_j + 1/(j j!)
+    with s_j = sum_{i<=j} 1/i!, refined until they separate; e^p is irrational."""
+    term = lower = Fraction(1)
+    j = 0
+    while True:
+        j += 1
+        term /= j
+        lower += term
+        if a <= b * lower**p:
+            return True
+        if a >= b * (lower + term / j) ** p:
+            return False
 
 
 @dataclass(frozen=True)
@@ -315,14 +325,16 @@ def _conjecture_task(n: int, k: int) -> ConjectureRecord:
 
 
 def conjecture_check(n_max: int) -> list[ConjectureRecord]:
-    """Sweep 3 <= n <= n_max, 2 <= k <= n-2: does the second eigenvalue equal
+    """Sweep 4 <= n <= n_max, 2 <= k <= n-2: does the second eigenvalue equal
     (k-1)/(n-1) * valency, with [n-1,1] among the witnesses?"""
+    if n_max < 4:  # below n = 4 there is no pair to check, and an empty sweep proves nothing
+        raise ValueError(f"conjecture_check needs n_max >= 4, got n_max = {n_max}")
     if n_max > resolve_max_n(None):
         raise SizeLimitError(
             f"conjecture_check is capped at n <= {resolve_max_n(None)} "
             f"(override with {MAX_N_ENV_VAR}), got n_max = {n_max}"
         )
-    return [_conjecture_task(n, k) for n in range(3, n_max + 1) for k in range(2, n - 1)]
+    return [_conjecture_task(n, k) for n in range(4, n_max + 1) for k in range(2, n - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -148,15 +148,22 @@ class RimHook:
         return len(self.cells)
 
 
-@cache
-def _rim_hooks(lam: Partition, length: int) -> tuple[RimHook, ...]:
-    # Beta-set rule (James & Kerber 1981, 2.7): row r carries the bead
-    # lam[r] + rows-1-r, and a rim hook of this length is a bead moved onto an
-    # empty position `length` lower; the beads strictly between the two
-    # positions are the rows below the top one that the hook reaches into.
+def beta_set(lam: Partition) -> list[int]:
+    """Bead positions of ``lam``: row r (0-based) of an r-row shape carries the
+    bead lam[r] + rows-1-r (James & Kerber 1981, 2.7)."""
     rows = len(lam)
-    beads = [part + rows - 1 - r for r, part in enumerate(lam)]
-    found: list[RimHook] = []
+    return [part + rows - 1 - r for r, part in enumerate(lam)]
+
+
+@cache
+def _rim_hooks(lam: Partition, length: int) -> tuple[tuple[RimHook, Partition], ...]:
+    # Beta-set rule: a rim hook of this length is a bead moved onto an empty
+    # position `length` lower; the beads strictly between the two positions
+    # are the rows below the top one that the hook reaches into.  Each hook
+    # comes with the partition left after removing it.
+    rows = len(lam)
+    beads = beta_set(lam)
+    found: list[tuple[RimHook, Partition]] = []
     # bottom row first: a lower top row leaves a lexicographically larger leftover
     for top in reversed(range(rows)):
         target = beads[top] - length
@@ -173,7 +180,9 @@ def _rim_hooks(lam: Partition, length: int) -> tuple[RimHook, ...]:
             for r in range(bottom, top - 1, -1)
             for c in range(left[r - top], lam[r])
         )
-        found.append(RimHook(cells=cells, leg_length=leg))
+        # a partition's zero parts can only trail, so dropping them all is safe
+        rest = tuple(p for p in lam[:top] + tuple(left) + lam[bottom + 1:] if p)
+        found.append((RimHook(cells=cells, leg_length=leg), rest))
     return tuple(found)
 
 
@@ -187,27 +196,16 @@ def enumerate_rim_hooks(lam, length: int) -> tuple[RimHook, ...]:
     lam = validate_partition(lam)
     if length < 1:
         raise ValueError("a rim hook has length at least 1")
-    if length > sum(lam):
-        return ()
-    return _rim_hooks(lam, length)
+    return tuple(hook for hook, _ in _rim_hooks(lam, length))
 
 
 def remove_rim_hook(lam, hook: RimHook) -> Partition:
     """Partition left after removing ``hook``; rejects hooks not on the border of ``lam``."""
     lam = validate_partition(lam)
-    if hook not in enumerate_rim_hooks(lam, len(hook.cells)):
-        raise ValueError(f"{hook} is not a rim hook of {lam}")
-    new = list(lam)
-    by_row: dict[int, int] = {}
-    for r, c in hook.cells:
-        by_row[r] = min(c, by_row.get(r, c))
-    for r, first_col in by_row.items():
-        new[r - 1] = first_col - 1
-    while new and new[-1] == 0:
-        new.pop()
-    if any(new[i] < new[i + 1] for i in range(len(new) - 1)):
-        raise ArithmeticError(f"removing {hook} from {lam} left {new}, not a partition")
-    return tuple(new)
+    for candidate, rest in _rim_hooks(lam, hook.length):
+        if candidate == hook:
+            return rest
+    raise ValueError(f"{hook} is not a rim hook of {lam}")
 
 
 _PART_TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")

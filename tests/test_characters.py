@@ -10,6 +10,7 @@ import csv
 import io
 import itertools
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -17,7 +18,6 @@ import pytest
 
 from cayley_spectra.characters import (
     CHARACTER_TABLE_LIMIT,
-    character_on_long_cycle,
     character_table,
     character_table_csv,
     centralizer_order,
@@ -26,6 +26,7 @@ from cayley_spectra.characters import (
     mn_character,
 )
 from cayley_spectra.errors import SizeLimitError
+from cayley_spectra.spectra import DEFAULT_MAX_N, MAX_N_ENV_VAR, _eigenvalue, class_size
 from cayley_spectra.young import (
     dimension,
     enumerate_partitions,
@@ -48,6 +49,15 @@ def mn_smallest_first(lam, tau):
             remove_rim_hook(lam, hook), rest
         )
     return total
+
+
+def character_on_long_cycle(lam, n, k):
+    """Reference: the character on an (n-k)-cycle as one Murnaghan-Nakayama
+    peel, each (n-k)-rim hook weighted by the dimension of what it leaves."""
+    return sum(
+        (-1) ** hook.leg_length * dimension(remove_rim_hook(lam, hook))
+        for hook in enumerate_rim_hooks(lam, n - k)
+    )
 
 
 def brute_cycle_type(images):
@@ -81,6 +91,15 @@ def test_size_mismatch_rejected():
         mn_character((3, 1), (5,))
 
 
+def test_mn_character_size_cap(monkeypatch):
+    n = DEFAULT_MAX_N + 1
+    monkeypatch.delenv(MAX_N_ENV_VAR, raising=False)
+    with pytest.raises(SizeLimitError, match=f"n <= {DEFAULT_MAX_N}"):
+        mn_character((1,) * n, (1,) * n)
+    monkeypatch.setenv(MAX_N_ENV_VAR, str(n))
+    assert mn_character((1,) * n, (1,) * n) == 1
+
+
 def test_agrees_with_opposite_peeling_order():
     for n in range(1, 9):
         types = enumerate_partitions(n)
@@ -104,11 +123,14 @@ def test_character_on_long_cycle_matches_general_recursion():
                 assert character_on_long_cycle(lam, n, k) == mn_character(lam, tau)
 
 
-def test_character_on_long_cycle_validates_k():
-    with pytest.raises(ValueError):
-        character_on_long_cycle((3, 1), 4, 3)
-    with pytest.raises(ValueError):
-        character_on_long_cycle((3, 1), 4, -1)
+def test_eigenvalue_matches_single_peel_oracle():
+    # the beta-set formula against chi * |C| / f with chi from the single peel
+    for n in range(2, 15):
+        for k in range(n - 1):
+            c = class_size(n, k)
+            for lam in enumerate_partitions(n):
+                want = Fraction(character_on_long_cycle(lam, n, k) * c, dimension(lam))
+                assert _eigenvalue(lam, n - k) == want, (lam, k)
 
 
 def test_transpose_twist():

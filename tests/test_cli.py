@@ -35,6 +35,16 @@ def test_char_value(capsys):
     assert out == "-1\n"
 
 
+@pytest.mark.parametrize("shape, cycle_type", [("1^995", "1^995"), ("10^10", "1^100")])
+def test_char_size_cap(capsys, monkeypatch, shape, cycle_type):
+    # without the cap the first recursion overflows the stack and the second runs past 20 s
+    monkeypatch.delenv("CAYLEY_SPECTRA_MAX_N", raising=False)
+    code, out, err = run(capsys, "char", "--partition", shape, "--type", cycle_type)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: mn_character is capped at n <= 14") and err.count("\n") == 1
+
+
 def test_spectrum_json(capsys):
     code, out, _ = run(capsys, "spectrum", "--n", "6", "--k", "2", "--format", "json")
     assert code == 0
@@ -76,6 +86,14 @@ def test_conjecture_pass(capsys):
     assert code == 0
     assert "fail" in out.splitlines()[-1]
     assert "0 fail" in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("n_max", ["2", "3", "-5"])
+def test_conjecture_rejects_an_empty_sweep(capsys, n_max):
+    code, out, err = run(capsys, "conjecture", "--n-max", n_max)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: conjecture_check needs n_max >= 4, got n_max = {n_max}\n"
 
 
 def test_table1_regime_note(capsys):

@@ -49,7 +49,7 @@ from cayley_spectra.permutations import Permutation, _neighbor_table, alternatin
 assert False, "asserts are stripped under -O"
 fired = []
 peel = spectra._eigenvalue
-spectra._eigenvalue = lambda lam, n, k, c, dim: peel(lam, n, k, c, dim) + (lam == (4, 2))
+spectra._eigenvalue = lambda lam, m: peel(lam, m) + (lam == (4, 2))
 try:
     spectra.full_spectrum(6, 2)
 except ArithmeticError as exc:
@@ -62,9 +62,16 @@ print(sys.flags.optimize, fired)
 """
 
 
-def test_invariants_fire_under_python_O():
+def test_invariants_fire_under_python_O(monkeypatch):
+    monkeypatch.delenv("CAYLEY_SPECTRA_MAX_N", raising=False)
     out = run_python("-O", "-c", INVARIANTS_UNDER_O)
     assert out.stdout == "1 [True, True]\n"
-    cli = run_python("-O", "-m", "cayley_spectra.cli", "verify-recursive-5cycles", "--tol", "nan", check=False)
-    assert cli.returncode == 2
-    assert cli.stderr == "error: need 0 < tol < 1, got tol = nan\n"
+    usage_errors = {
+        ("verify-recursive-5cycles", "--tol", "nan"): "error: need 0 < tol < 1, got tol = nan\n",
+        ("char", "--partition", "1^995", "--type", "1^995"): "error: mn_character is capped at n <= 14 "
+        "(override with CAYLEY_SPECTRA_MAX_N), got n = 995\n",
+        ("conjecture", "--n-max", "2"): "error: conjecture_check needs n_max >= 4, got n_max = 2\n",
+    }
+    for argv, message in usage_errors.items():
+        cli = run_python("-O", "-m", "cayley_spectra.cli", *argv, check=False)
+        assert (cli.returncode, cli.stdout, cli.stderr) == (2, "", message), argv

@@ -62,6 +62,20 @@ def test_eigenvalue_examples():
     assert eigenvalue_for((1, 1, 1), 3, 1) == -3
 
 
+def test_eigenvalue_for_validates_k():
+    with pytest.raises(ValueError):
+        eigenvalue_for((3, 1), 4, 3)
+    with pytest.raises(ValueError):
+        eigenvalue_for((3, 1), 4, -1)
+
+
+def test_eigenvalue_for_validates_shape():
+    with pytest.raises(ValueError, match="non-increasing"):
+        eigenvalue_for((1, 3), 4, 1)
+    with pytest.raises(ValueError, match="not a partition of 5"):
+        eigenvalue_for((3, 1), 5, 1)
+
+
 def test_full_spectrum_3_1():
     entries = full_spectrum(3, 1)
     assert [(e.partition, e.eigenvalue, e.multiplicity) for e in entries] == [
@@ -105,8 +119,8 @@ def test_full_spectrum_rejects_a_wrong_eigenvalue(monkeypatch):
 
     peel = spectra._eigenvalue  # full_spectrum's per-shape eigenvalue
 
-    def off_by_one(lam, n, k, c, dim):
-        return peel(lam, n, k, c, dim) + (lam == (4, 2))
+    def off_by_one(lam, m):
+        return peel(lam, m) + (lam == (4, 2))
 
     monkeypatch.setattr(spectra, "_eigenvalue", off_by_one)
     with pytest.raises(ArithmeticError, match="trace identities"):
@@ -277,6 +291,17 @@ def test_hypothesis_flags_frozen():
         False,
         False,
     )
+
+
+def test_main_theorem_range_thresholds():
+    # the first n at which the range holds for k = 2..10; it then stays true
+    first = {}
+    for k in range(2, 11):
+        flags = [hypothesis_check(n, k).in_main_theorem_range for n in range(k + 2, 401)]
+        first[k] = k + 2 + flags.index(True)
+        assert all(flags[first[k] - k - 2:]), k
+    assert list(first.values()) == [4, 5, 6, 7, 11, 17, 28, 48, 85]
+    assert not any(hypothesis_check(n, k).in_main_theorem_range for n in range(3, 30) for k in (0, 1))
 
 
 def test_hypothesis_unique_rimhook_matches_definition():

@@ -129,6 +129,10 @@ def _cells_are_border_strip(cells):
     return seen == cellset
 
 
+def diagram(lam):
+    return {(r + 1, c + 1) for r, part in enumerate(lam) for c in range(part)}
+
+
 def test_rim_hooks_of_32():
     hooks2 = enumerate_rim_hooks((3, 2), 2)
     assert len(hooks2) == 1
@@ -173,6 +177,7 @@ def test_rim_hook_structure_exhaustively():
                     rest = remove_rim_hook(lam, hook)
                     assert sum(rest) == n - length
                     assert all(a >= b for a, b in zip(rest, rest[1:]))
+                    assert diagram(rest) == diagram(lam) - set(hook.cells)
 
 
 def test_rim_hook_enumeration_is_complete():
