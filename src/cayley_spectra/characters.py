@@ -1,8 +1,10 @@
 """Character values of the symmetric group via the Murnaghan-Nakayama rule.
 
-Everything here is exact integer arithmetic.  The recursion peels the largest
-remaining cycle length first and memoizes on (shape, remaining type); the
-memo table is a plain ``functools.cache`` and is safe for concurrent readers.
+Everything here is exact integer arithmetic.  The rule peels the cycles
+largest first, one cycle at a time, carrying every shape reached so far with
+its signed count, so its depth never grows with the number of cycles.  Whole
+characters are memoized on (shape, type) in a plain ``functools.cache``,
+which is safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -30,18 +32,21 @@ CHARACTER_TABLE_LIMIT = 10
 
 @cache
 def _mn(lam: Partition, tau: CycleType) -> int:
-    if not tau:
-        return 1
-    head, rest = tau[0], tau[1:]
-    total = 0
-    for hook, left in _rim_hooks(lam, head):
-        total += (-1) ** hook.leg_length * _mn(left, rest)
-    return total
+    # frontier: every shape left after peeling the cycles seen so far, with
+    # the signed number of ways to reach it
+    frontier = {lam: 1}
+    for length in tau:
+        peeled: dict[Partition, int] = {}
+        for shape, count in frontier.items():
+            for hook, left in _rim_hooks(shape, length):
+                peeled[left] = peeled.get(left, 0) + (-count if hook.leg_length % 2 else count)
+        frontier = peeled
+    return frontier.get((), 0)
 
 
 def mn_character(lam, tau) -> int:
     """Character of the irreducible indexed by ``lam`` on the class of type ``tau``,
-    capped like :func:`~cayley_spectra.spectra.full_spectrum` (one recursion level per cycle)."""
+    capped like :func:`~cayley_spectra.spectra.full_spectrum`."""
     lam = validate_partition(lam)
     tau = validate_partition(tau)
     if sum(lam) != sum(tau):

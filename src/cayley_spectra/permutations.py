@@ -159,16 +159,6 @@ class Permutation:
         return f"Permutation.parse({self.cycle_string()!r}, degree={self.degree})"
 
 
-def _arrangement_parity(seq) -> int:
-    """Inversion parity (0/1) of a sequence relative to its sorted order."""
-    inversions = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inversions += 1
-    return inversions & 1
-
-
 @dataclass(frozen=True)
 class GroupSlice:
     """A subgroup of Sym(degree) cut out by coordinates: optionally only even
@@ -204,7 +194,7 @@ class GroupSlice:
 
     def members(self) -> list[Permutation]:
         """All members in lexicographic order of image tuples (degree <= 9)."""
-        return [Permutation(images) for images in _member_images(self)]
+        return [Permutation(row) for row in (_member_matrix(self) + 1).tolist()]
 
     def _completions(self, remaining: int, parity_so_far: int) -> int:
         """Ways to finish a partial arrangement of `remaining` free values."""
@@ -254,29 +244,36 @@ class GroupSlice:
 
 
 @cache
-def _member_images(slice_: GroupSlice) -> tuple[tuple[int, ...], ...]:
+def _member_matrix(slice_: GroupSlice) -> np.ndarray:
+    """(order, degree) uint8 array of 0-based images, rows in lexicographic order.
+
+    The arrangements of the m free points grow one position at a time: those
+    of s values are s blocks, one per first value v in ascending order, each
+    holding the arrangements of s-1 values with every value >= v raised by
+    one, which keeps the order lexicographic.  An even-only slice keeps the
+    rows whose pairwise inversions XOR to 0.
+    """
     if slice_.degree > MAX_MATERIALIZED_DEGREE:
         raise SizeLimitError(
             f"group materialization is capped at degree {MAX_MATERIALIZED_DEGREE}, "
             f"got degree {slice_.degree}"
         )
-    free = slice_.free_points()
-    out = []
-    base = list(range(1, slice_.degree + 1))
-    for arrangement in itertools.permutations(free):
-        if slice_.even_only and _arrangement_parity(arrangement):
-            continue
-        images = base.copy()
-        for pos, value in zip(free, arrangement):
-            images[pos - 1] = value
-        out.append(tuple(images))
-    return tuple(out)
-
-
-@cache
-def _member_matrix(slice_: GroupSlice) -> np.ndarray:
-    """(order, degree) uint8 array of 0-based images, rows in lexicographic order."""
-    return np.array(_member_images(slice_), dtype=np.uint8) - 1
+    free = np.array(slice_.free_points(), dtype=np.uint8) - 1
+    m = len(free)
+    arrangements = np.zeros((1, 0), dtype=np.uint8)
+    for size in range(1, m + 1):
+        first = np.repeat(np.arange(size, dtype=np.uint8), len(arrangements))[:, None]
+        rest = np.tile(arrangements, (size, 1))
+        rest += rest >= first
+        arrangements = np.hstack([first, rest])
+    if slice_.even_only:
+        odd = np.zeros(len(arrangements), dtype=bool)
+        for i, j in itertools.combinations(range(m), 2):
+            odd ^= arrangements[:, i] > arrangements[:, j]
+        arrangements = arrangements[~odd]
+    members = np.tile(np.arange(slice_.degree, dtype=np.uint8), (len(arrangements), 1))
+    members[:, free] = free[arrangements]
+    return members
 
 
 def symmetric_group(n: int) -> GroupSlice:
@@ -379,16 +376,41 @@ class _RankLookup:
 
 def _neighbor_table(slice_: GroupSlice, connection: list[Permutation]) -> np.ndarray:
     """(len(connection), order); row j holds the rank of t_j * g for every member g,
-    in the smallest unsigned dtype that holds every rank (uint16 up to degree 8)."""
+    in the smallest unsigned dtype that holds every rank (uint16 up to degree 8).
+
+    Only elements that move at most three points, or are involutions, are
+    ranked by :class:`_RankLookup`, and each such row is kept for reuse within
+    the build.  Any other element has a cycle (a1 a2 a3 ... am) with m >= 3,
+    and (a1 a2 a3 ... am) = (a1 a2 a3) * (a3 ... am); writing t = a * b with
+    a = (a1 a2 a3), its row is rank(a * b * g) = row_a[row_b[g]], one gather,
+    with row_b built the same way.  Both factors stay in the slice: a is even
+    and moves only points that t moves.
+    """
     lookup = _RankLookup(slice_)
     dtype = np.min_scalar_type(slice_.order - 1)
+    looked_up: dict[tuple[int, ...], np.ndarray] = {}
+
+    def row_of(cycles: list[tuple[int, ...]]) -> np.ndarray:
+        long = next((c for c in cycles if len(c) > 2), None)
+        if long is not None and sum(map(len, cycles)) > 3:
+            rest = [long[2:]] + [c for c in cycles if c is not long]
+            return np.take(row_of([long[:3]]), row_of(rest))
+        t0 = list(range(slice_.degree))
+        for cycle in cycles:
+            for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
+                t0[src - 1] = dst - 1
+        key = tuple(t0)
+        if key not in looked_up:
+            looked_up[key] = lookup.ranks(np.array(t0, dtype=np.intp)).astype(dtype)
+        return looked_up[key]
+
     rows = np.empty((len(connection), slice_.order), dtype=dtype)
     for j, t in enumerate(connection):
         if not slice_.contains(t):
             raise VerificationError(
                 "connection does not stabilize the vertex group", element=t, slice=slice_
             )
-        rows[j] = lookup.ranks(np.array(t.images, dtype=np.intp) - 1)
+        rows[j] = row_of(t.cycles())
     return rows
 
 
@@ -396,10 +418,12 @@ class CayleyOperator:
     """Implicit adjacency operator of Cay(slice, connection).
 
     Matvecs accumulate x[index(t * g)] over the connection set from a table
-    of neighbor ranks, one row per connection element, built once by a
-    direct lookup on each composed permutation's free-point images.  Ranks
-    are stored in the smallest unsigned dtype that holds them, so the densest
-    degree-8 table, all 1344 5-cycles on Alt(8) in uint16, takes about 54 MB;
+    of neighbor ranks, one row per connection element, built once by
+    :func:`_neighbor_table`: a direct lookup on the composed free-point images
+    for 3-cycles, involutions and other elements moving at most three points,
+    and a gather of those rows for every other element.  Ranks are stored in
+    the smallest unsigned dtype that holds them, so the densest degree-8
+    table, all 1344 5-cycles on Alt(8) in uint16, takes about 54 MB;
     :meth:`prefix` serves a leading part of the connection from the same
     table without a copy.
     """
@@ -461,8 +485,10 @@ class CayleyOperator:
         return y
 
     def neighbors(self, vertex: int) -> list[int]:
-        rows = self._neighbor_rows()
-        return sorted(int(row[vertex]) for row in rows)
+        """Sorted indices of t * g over the connection, g the vertex at ``vertex``."""
+        if not 0 <= vertex < self.dim:
+            raise ValueError(f"vertex {vertex} outside 0..{self.dim - 1}")
+        return sorted(int(row[vertex]) for row in self._neighbor_rows())
 
     def dense(self) -> np.ndarray:
         if self.dim > DENSE_ORDER_LIMIT:

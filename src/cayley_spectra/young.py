@@ -163,11 +163,12 @@ def _rim_hooks(lam: Partition, length: int) -> tuple[tuple[RimHook, Partition], 
     # comes with the partition left after removing it.
     rows = len(lam)
     beads = beta_set(lam)
+    occupied = set(beads)
     found: list[tuple[RimHook, Partition]] = []
     # bottom row first: a lower top row leaves a lexicographically larger leftover
     for top in reversed(range(rows)):
         target = beads[top] - length
-        if target < 0 or target in beads:
+        if target < 0 or target in occupied:
             continue
         leg = sum(1 for b in beads[top + 1:] if b > target)
         bottom = top + leg

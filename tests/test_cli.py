@@ -37,7 +37,7 @@ def test_char_value(capsys):
 
 @pytest.mark.parametrize("shape, cycle_type", [("1^995", "1^995"), ("10^10", "1^100")])
 def test_char_size_cap(capsys, monkeypatch, shape, cycle_type):
-    # without the cap the first recursion overflows the stack and the second runs past 20 s
+    # both exceed the default cap; without it the second runs past 20 s
     monkeypatch.delenv("CAYLEY_SPECTRA_MAX_N", raising=False)
     code, out, err = run(capsys, "char", "--partition", shape, "--type", cycle_type)
     assert code == 2

@@ -75,3 +75,14 @@ def test_invariants_fire_under_python_O(monkeypatch):
     for argv, message in usage_errors.items():
         cli = run_python("-O", "-m", "cayley_spectra.cli", *argv, check=False)
         assert (cli.returncode, cli.stdout, cli.stderr) == (2, "", message), argv
+
+
+def test_char_walks_a_thousand_cycles_without_recursion(monkeypatch):
+    # one cycle per step of the Murnaghan-Nakayama rule: 995 of them must not
+    # reach the interpreter's recursion limit once the cap allows them
+    monkeypatch.setenv("CAYLEY_SPECTRA_MAX_N", "2000")
+    cli = run_python(
+        "-m", "cayley_spectra.cli", "char", "--partition", "1^995", "--type", "1^995", check=False
+    )
+    assert (cli.returncode, cli.stdout) == (0, "1\n")
+    assert "Traceback" not in cli.stderr

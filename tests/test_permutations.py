@@ -19,6 +19,7 @@ from cayley_spectra.permutations import (
     Permutation,
     _member_matrix,
     _neighbor_table,
+    _RankLookup,
     alternating_group,
     cayley_adjacency,
     coset_count,
@@ -257,6 +258,9 @@ def test_operator_neighbors_and_matvec():
         expected = sorted(op.index_of(t * members[v]) for t in connection)
         assert list(op.neighbors(v)) == expected
         assert np.flatnonzero(dense[:, v]).tolist() == expected
+    for bad in (-1, op.dim):  # -1 would otherwise read the last vertex's row
+        with pytest.raises(ValueError, match=f"vertex {bad} outside 0..{op.dim - 1}"):
+            op.neighbors(bad)
 
 
 def test_operator_vertex_indexing():
@@ -308,7 +312,32 @@ def test_operator_dense_cap():
         op.dense()
 
 
-# --- neighbor table against the binary-search oracle ----------------------
+# --- member matrix and neighbor table against independent oracles --------
+
+
+def _arrangement_parity(seq) -> int:
+    """Inversion parity (0/1) of a sequence relative to its sorted order."""
+    inversions = 0
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                inversions += 1
+    return inversions & 1
+
+
+def itertools_members(slice_):
+    """The former member build: every arrangement of the free points from
+    itertools, in lexicographic order, odd ones dropped for an even-only slice."""
+    free = slice_.free_points()
+    out = []
+    for arrangement in itertools.permutations(free):
+        if slice_.even_only and _arrangement_parity(arrangement):
+            continue
+        images = list(range(slice_.degree))
+        for pos, value in zip(free, arrangement):
+            images[pos - 1] = value - 1
+        out.append(images)
+    return np.array(out, dtype=np.uint8).reshape(len(out), slice_.degree)
 
 
 def searchsorted_table(slice_, connection):
@@ -341,6 +370,18 @@ TABLE_SLICES = (
 )
 
 
+@pytest.mark.parametrize(
+    "slice_",
+    TABLE_SLICES
+    + [alternating_group(9), GroupSlice(9, even_only=True, fixed=frozenset({2, 7}))],
+    ids=repr,
+)
+def test_member_matrix_matches_itertools_oracle(slice_):
+    members = _member_matrix(slice_)
+    assert members.dtype == np.uint8
+    assert np.array_equal(members, itertools_members(slice_))
+
+
 @pytest.mark.parametrize("slice_", TABLE_SLICES, ids=repr)
 def test_neighbor_table_matches_searchsorted_oracle(slice_):
     members = slice_.members()
@@ -351,6 +392,44 @@ def test_neighbor_table_matches_searchsorted_oracle(slice_):
     table = _neighbor_table(slice_, connection)
     assert table.dtype == (np.uint8 if slice_.order <= 256 else np.uint16)
     assert np.array_equal(table, searchsorted_table(slice_, connection))
+
+
+def _of_type(slice_, cycle_type, count):
+    """About ``count`` members of ``slice_`` of the given cycle type, spread over the class."""
+    found = [p for p in slice_.members() if p.cycle_type() == cycle_type]
+    return found[:: max(1, len(found) // count)]
+
+
+@pytest.mark.parametrize(
+    "slice_, cycle_type",
+    [
+        (symmetric_group(7), (7,)),  # (a1 a2 a3) * 5-cycle, then (a3 a4 a5) * 3-cycle
+        (symmetric_group(8), (8,)),  # three 3-cycles, then a transposition
+        (alternating_group(8), (3, 3, 1, 1)),  # 3-cycle * 3-cycle
+        (alternating_group(8), (5, 3)),  # 3-cycle * (3-cycle * 3-cycle)
+        (alternating_group(8), (2, 2, 1, 1, 1, 1)),  # an involution: looked up whole
+        (alternating_group(8), (4, 2, 1, 1)),  # 3-cycle * an involution of type (2, 2)
+    ],
+    ids=repr,
+)
+def test_composed_neighbor_rows_match_searchsorted_oracle(slice_, cycle_type):
+    connection = _of_type(slice_, cycle_type, 60)
+    assert connection
+    assert np.array_equal(
+        _neighbor_table(slice_, connection), searchsorted_table(slice_, connection)
+    )
+
+
+def test_alt8_5cycle_table_equals_the_row_by_row_lookup():
+    a8 = alternating_group(8)
+    connection = [t for t in enumerate_class_cycles(8, 5) if a8.contains(t)]
+    lookup = _RankLookup(a8)
+    expected = np.empty((len(connection), a8.order), dtype=np.uint16)
+    for j, t in enumerate(connection):
+        expected[j] = lookup.ranks(np.array(t.images, dtype=np.intp) - 1)
+    table = _neighbor_table(a8, connection)
+    assert table.dtype == np.uint16
+    assert np.array_equal(table, expected)
 
 
 def test_neighbor_table_widens_past_uint16():
