@@ -3,10 +3,12 @@
 The iterative path is Lanczos with full reorthogonalization: the graphs here
 carry eigenvalues of enormous multiplicity, and without reorthogonalization
 ghost copies pollute the Ritz values long before the genuinely second
-eigenvalue converges.  Every reported extremal value is certified after the
-fact by its residual ||A v - theta v|| <= tol * ||A||_1, and values within
-1e-6 of an integer are additionally reported as exact integers once the
-certificate holds.
+eigenvalue converges.  The Ritz values are the eigenvalues of the projected
+matrix Q A Q^T on the orthonormal basis Q, however Q was built (Parlett, The
+Symmetric Eigenvalue Problem, ch. 11 and 13).  Every reported extremal value
+is certified after the fact by its residual ||A v - theta v|| <= tol *
+||A||_1, and values within 1e-6 of an integer are additionally reported as
+exact integers once the certificate holds.
 """
 
 from __future__ import annotations
@@ -131,88 +133,78 @@ def extremal_eigenvalues(
 ) -> ExtremalResult:
     """Top ``count`` eigenvalues of a symmetric operator by Lanczos.
 
-    Deterministic for a fixed seed: the start vector is drawn from
-    numpy's seeded generator.  On lucky breakdown the iteration restarts in
-    the orthogonal complement (deflation), so exhausted spectra still expose
-    multiple copies.  Non-convergence is reported, never silent.
+    The two passes that orthogonalize A q_j against the basis Q sum their
+    coefficients into column j of the upper triangle of H = Q A Q^T, and the
+    Ritz pairs are the eigenpairs of H (Rayleigh-Ritz on the reorthogonalized
+    basis).  Deterministic for a fixed seed: the start vector is drawn from
+    numpy's seeded generator.  On breakdown the iteration restarts from a
+    fresh random direction, so exhausted spectra still expose multiple
+    copies.  Non-convergence is reported, never silent.
     """
     dim = op.dim
     if not 1 <= count <= dim:
         raise ValueError(f"need 1 <= count <= dim, got count = {count}, dim = {dim}")
     if not 0 < tol < 1:
         raise ValueError(f"need 0 < tol < 1, got tol = {tol!r}")
+    if max_iterations < count:
+        raise ValueError(
+            f"need max_iterations >= count, got max_iterations = {max_iterations}, count = {count}"
+        )
     norm_bound = float(op.one_norm())
     rng = np.random.default_rng(seed)
-    start = rng.standard_normal(dim)
+    vec = rng.standard_normal(dim)
     _check_symmetry(op, rng, norm_bound)
 
     budget = min(max_iterations, dim)
     basis = np.empty((budget, dim), dtype=np.float64)
-    alphas: list[float] = []
-    betas: list[float] = []
+    columns: list[np.ndarray] = []  # column j of H's upper triangle, rows 0..j
     target = tol * max(norm_bound, 1e-300)
     breakdown_tol = max(norm_bound, 1.0) * 1e-13
 
     j = 0
-    pending = start
-    converged = False
     while j < budget:
-        # install the next basis vector (fresh random direction after breakdown)
-        vec = pending if pending is not None else rng.standard_normal(dim)
         for _ in range(2):
             vec = vec - _product("ij,i->j", basis[:j], _product("ij,j->i", basis[:j], vec))
         nrm = _norm(vec)
         if nrm <= breakdown_tol * 10:
             break  # the whole space is spanned
-        if pending is None and j:
-            betas.append(0.0)  # decoupled restart block
         basis[j] = vec / nrm
 
         w = op.matvec(basis[j])
-        a = float(_product("i,i", basis[j], w))
-        alphas.append(a)
-        w -= a * basis[j]
-        if j and betas and len(betas) == j:
-            w -= betas[-1] * basis[j - 1]
+        column = np.zeros(j + 1)
         for _ in range(2):
-            w -= _product("ij,i->j", basis[: j + 1], _product("ij,j->i", basis[: j + 1], w))
+            coefficients = _product("ij,j->i", basis[: j + 1], w)
+            w -= _product("ij,i->j", basis[: j + 1], coefficients)
+            column += coefficients
+        columns.append(column)
         b = _norm(w)
         j += 1
 
         if j >= count:
-            theta, vectors = _tridiagonal_eigh(alphas, betas)
-            idx = np.argsort(theta)[::-1][:count]
-            if all(b * abs(vectors[-1, i]) <= target for i in idx):
-                converged = True
+            _, vectors = _top_ritz_pairs(columns, count)
+            if np.all(b * np.abs(vectors[-1]) <= target):
                 break
-        if b <= breakdown_tol:
-            pending = None  # deflate and restart
-            continue
-        betas.append(b)
-        pending = w  # already orthogonalized; normalized next round
+        vec = w if b > breakdown_tol else rng.standard_normal(dim)
 
-    theta, vectors = _tridiagonal_eigh(alphas, betas)
-    order = np.argsort(theta)[::-1][:count]
+    theta, vectors = _top_ritz_pairs(columns, count)
     values: list[float] = []
     residuals: list[float] = []
     integers: list[int | None] = []
-    for i in order:
-        ritz_vector = _product("ij,i->j", basis[:j], vectors[:, i])
+    for value, s in zip(theta.tolist(), vectors.T):
+        ritz_vector = _product("ij,i->j", basis[:j], s)
         ritz_vector /= _norm(ritz_vector)
-        value = float(theta[i])
         residual = _norm(op.matvec(ritz_vector) - value * ritz_vector)
         certified = residual <= target
         values.append(value)
         residuals.append(residual)
         nearest = round(value)
         integers.append(nearest if certified and abs(value - nearest) < INTEGRALITY_TOL else None)
-    converged = all(r <= target for r in residuals)
     return ExtremalResult(
         values=tuple(values),
         integers=tuple(integers),
         residuals=tuple(residuals),
         iterations=j,
-        converged=converged,
+        converged=all(r <= target for r in residuals),
         dim=dim,
         norm_bound=norm_bound,
         tol=tol,
@@ -220,13 +212,14 @@ def extremal_eigenvalues(
     )
 
 
-def _tridiagonal_eigh(alphas: list[float], betas: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors (columns) of the symmetric
-    tridiagonal matrix with diagonal ``alphas`` and off-diagonal
-    ``betas[:len(alphas) - 1]``; a trailing beta not yet coupled to a basis
-    vector is ignored."""
-    off = betas[: len(alphas) - 1]
-    return np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
+def _top_ritz_pairs(columns: list[np.ndarray], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` largest eigenvalues, descending, and their eigenvectors
+    (columns) of the symmetric H whose upper triangle holds ``columns``."""
+    h = np.zeros((len(columns), len(columns)))
+    for j, column in enumerate(columns):
+        h[: j + 1, j] = column
+    theta, vectors = np.linalg.eigh(h, UPLO="U")
+    return theta[::-1][:count], vectors[:, ::-1][:, :count]
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +335,8 @@ def verify_recursive_5cycles(
     cycles = enumerate_class_cycles(RECURSIVE_DEGREE, RECURSIVE_CYCLE_LENGTH)
     rows: list[RecursiveCheckRow] = []
     for k, operator in enumerate(filtration_operators(group, cycles)):
-        filtered = t_filtration(cycles, k)
         result = extremal_eigenvalues(operator, count=2, tol=tol, seed=seed)
-        rhs = quotient_lambda2_recursive(filtered, group, k)
+        rhs = quotient_lambda2_recursive(operator.connection, group, k)
         lam1, lam2 = result.integers
         passed = (
             result.converged

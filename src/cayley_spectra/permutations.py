@@ -44,17 +44,18 @@ class Permutation:
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Permutation":
         images = list(range(1, degree + 1))
+        seen: set[int] = set()
         for cycle in cycles:
             cycle = [int(p) for p in cycle]
-            if len(set(cycle)) != len(cycle):
-                raise ValueError(f"repeated point in cycle {cycle}")
             for p in cycle:
                 if not 1 <= p <= degree:
                     raise ValueError(f"point {p} outside 1..{degree}")
+                if p in seen:
+                    raise ValueError(f"point {p} appears more than once in the cycles")
+                seen.add(p)
             for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
                 images[src - 1] = dst
-        perm = cls(images)
-        return perm
+        return cls(images)
 
     @classmethod
     def parse(cls, text: str, degree: int | None = None) -> "Permutation":
@@ -196,51 +197,40 @@ class GroupSlice:
         """All members in lexicographic order of image tuples (degree <= 9)."""
         return [Permutation(row) for row in (_member_matrix(self) + 1).tolist()]
 
-    def _completions(self, remaining: int, parity_so_far: int) -> int:
-        """Ways to finish a partial arrangement of `remaining` free values."""
-        if not self.even_only:
-            return factorial(remaining)
-        if remaining >= 2:
-            return factorial(remaining) // 2
-        return 1 if parity_so_far == 0 else 0
-
     def unrank(self, index: int) -> Permutation:
-        """The index-th member in lexicographic order, without enumerating the group."""
+        """The index-th member in lexicographic order, without enumerating the group.
+
+        Lexicographic arrangements 2i and 2i+1 of the free values differ only
+        in their last two, so an even-only slice keeps exactly one of each
+        pair: its index-th member is arrangement 2i, or that one with the last
+        two free images swapped.
+        """
         if not 0 <= index < self.order:
             raise ValueError(f"index {index} outside 0..{self.order - 1}")
         free = self.free_points()
-        remaining = sorted(free)
-        images = {p: p for p in self.fixed}
-        parity = 0
+        remaining = list(free)
+        images = list(range(1, self.degree + 1))
+        arrangement = 2 * index if self.even_only else index
         for pos in free:
-            for slot, value in enumerate(remaining):
-                count = self._completions(len(remaining) - 1, (parity + slot) & 1)
-                if index < count:
-                    images[pos] = value
-                    parity = (parity + slot) & 1
-                    remaining.pop(slot)
-                    break
-                index -= count
-            else:  # pragma: no cover - guarded by the range check above
-                raise AssertionError("unrank ran out of candidates")
-        return Permutation(images[p] for p in range(1, self.degree + 1))
+            slot, arrangement = divmod(arrangement, factorial(len(remaining) - 1))
+            images[pos - 1] = remaining.pop(slot)
+        if not self.contains(Permutation(images)):
+            a, b = free[-2] - 1, free[-1] - 1
+            images[a], images[b] = images[b], images[a]
+        return Permutation(images)
 
     def rank(self, perm: Permutation) -> int:
         """Inverse of :func:`unrank`; requires membership."""
         if not self.contains(perm):
             raise ValueError(f"{perm!r} is not a member of {self}")
         free = self.free_points()
-        remaining = sorted(free)
-        parity = 0
+        remaining = list(free)
         index = 0
         for pos in free:
-            value = perm(pos)
-            slot = remaining.index(value)
-            for earlier in range(slot):
-                index += self._completions(len(remaining) - 1, (parity + earlier) & 1)
-            parity = (parity + slot) & 1
+            slot = remaining.index(perm(pos))
+            index = index * len(remaining) + slot
             remaining.pop(slot)
-        return index
+        return index // 2 if self.even_only else index
 
 
 @cache

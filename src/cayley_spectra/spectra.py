@@ -123,8 +123,7 @@ def full_spectrum(n: int, k: int, max_n: int | None = None) -> list[SpectrumEntr
             f"spectrum of n = {n}, k = {k} fails the trace identities: "
             f"(tr I, tr A, tr A^2) = {traces}, expected {expected}"
         )
-    order = {lam: i for i, lam in enumerate(shapes)}
-    entries.sort(key=lambda e: (-e.eigenvalue, order[e.partition]))
+    entries.sort(key=lambda e: -e.eigenvalue)  # stable: ties keep shape order
     return entries
 
 

@@ -102,6 +102,41 @@ def test_extremal_reports_non_convergence():
     assert res.iterations == 3
 
 
+def test_extremal_restarts_after_breakdown():
+    # every start vector is an eigenvector of I: the second value needs a restart
+    res = extremal_eigenvalues(MatrixOperator(np.eye(3)), count=2)
+    assert res.converged
+    assert res.integers == (1, 1)
+    assert res.iterations == 2
+
+
+@pytest.mark.parametrize("count", [3, 4])
+def test_extremal_restarts_expose_repeated_eigenvalues(count):
+    # the Krylov space of K4 has dimension 2, so each further -1 is a restart
+    res = extremal_eigenvalues(MatrixOperator(K4), count=count)
+    assert res.converged
+    assert res.integers == (3, -1, -1, -1)[:count]
+    assert all(r <= res.tol * res.norm_bound for r in res.residuals)
+
+
+class CountingOperator(MatrixOperator):
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.matvecs = 0
+
+    def matvec(self, x):
+        self.matvecs += 1
+        return super().matvec(x)
+
+
+@pytest.mark.parametrize("max_iterations", [0, 1, -3])
+def test_extremal_rejects_budget_below_count(max_iterations):
+    op = CountingOperator(K4)
+    with pytest.raises(ValueError, match="max_iterations"):
+        extremal_eigenvalues(op, count=2, max_iterations=max_iterations)
+    assert op.matvecs == 0
+
+
 def test_extremal_rejects_asymmetric_operator():
     bad = np.zeros((5, 5))
     bad[0, 1] = 1.0

@@ -67,6 +67,10 @@ def test_parse_rejects_malformed():
     for bad in ("(1 2", "(1 2)(2 3)", "2 2 1", "0 1 2"):
         with pytest.raises(ValueError):
             Permutation.parse(bad)
+    # a point in two cycles names the point, not a malformed image tuple
+    for bad, point in (("(1 2 3)(3 2 1)", 3), ("(1 2)(1 2)", 1), ("(1 2)(2 3)", 2)):
+        with pytest.raises(ValueError, match=f"point {point} appears more than once"):
+            Permutation.parse(bad)
 
 
 @given(perm_images)
@@ -180,12 +184,20 @@ def test_alternating_members_are_even():
 
 
 def test_rank_unrank_round_trip():
-    for slice_ in (
+    # degree 1..7, full and even, with four fixed-point patterns each
+    small = [
+        GroupSlice(n, even_only=even, fixed=frozenset(fixed))
+        for n in range(1, 8)
+        for even in (False, True)
+        for fixed in (set(), {1}, {n}, set(range(2, n + 1, 2)))
+    ]
+    for slice_ in [
         symmetric_group(4),
         alternating_group(5),
         GroupSlice(6, even_only=True, fixed=frozenset({2})),
         GroupSlice(3, fixed=frozenset({1, 2, 3})),
-    ):
+        *small,
+    ]:
         members = slice_.members()
         for index, p in enumerate(members):
             assert slice_.unrank(index) == p
