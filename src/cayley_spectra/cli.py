@@ -101,6 +101,7 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    spectra.class_size(args.n, args.k)  # the range check on (n, k), before any row
     rows = []
     for shape_id, rule in spectra.TABLE1_SHAPES.items():
         if args.n < rule.min_n:

@@ -338,13 +338,7 @@ def verify_recursive_5cycles(
         result = extremal_eigenvalues(operator, count=2, tol=tol, seed=seed)
         rhs = quotient_lambda2_recursive(operator.connection, group, k)
         lam1, lam2 = result.integers
-        passed = (
-            result.converged
-            and lam1 is not None
-            and lam2 is not None
-            and lam1 == operator.valency
-            and lam2 == rhs
-        )
+        passed = result.converged and (lam1, lam2) == (operator.valency, rhs)
         row = RecursiveCheckRow(
             k=k,
             valency=operator.valency,
@@ -359,9 +353,19 @@ def verify_recursive_5cycles(
         )
         rows.append(row)
         if not passed:
+            if not result.converged:
+                reason = (
+                    f"Lanczos did not converge in {result.iterations} iterations: residuals "
+                    f"{result.residuals!r} vs target tol * valency = {tol * operator.valency!r}"
+                )
+            else:
+                reason = (
+                    f"integer mismatch: lambda1 = {lam1} (numeric {result.values[0]!r}) vs "
+                    f"valency {operator.valency}, lambda2 = {lam2} (numeric "
+                    f"{result.values[1]!r}) vs exact coset count {rhs}"
+                )
             raise VerificationError(
-                f"recursive check failed at k = {k}: numeric lambda2 = {result.values[1]!r} "
-                f"(lambda1 = {result.values[0]!r}) vs exact coset count {rhs}",
+                f"recursive check failed at k = {k}: {reason}",
                 k=k,
                 numeric=result.values,
                 exact=rhs,

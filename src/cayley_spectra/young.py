@@ -82,7 +82,7 @@ def hook_lengths(lam) -> list[list[int]]:
 
 @cache
 def _dimension(lam: Partition) -> int:
-    # lam is already validated: dimension() is the only caller
+    # lam is already validated, by dimension() or, in full_spectrum, by enumerate_partitions
     n = sum(lam)
     conj = _conjugate(lam)
     denom = 1

@@ -1,11 +1,13 @@
 """Command-line behavior: exact output lines, formats, exit codes."""
 
 import csv
+import functools
 import io
 import json
 
 import pytest
 
+from cayley_spectra import eigensolve
 from cayley_spectra.cli import main
 
 
@@ -143,6 +145,32 @@ def test_usage_error_bad_k(capsys):
     code, _, err = run(capsys, "spectrum", "--n", "3", "--k", "5")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_usage_error_table1_without_a_cycle_class(capsys, n):
+    # no shape applies at these n, so the range check must come before the rows
+    code, out, err = run(capsys, "table1", "--n", n, "--k", "0")
+    assert (code, out) == (2, "")
+    assert err == f"error: need 0 <= k <= n-2, got n = {n}, k = 0\n"
+
+
+def test_verify_names_the_unreached_tolerance(capsys, monkeypatch):
+    # no residual reaches 1e-300 * valency: the failure is convergence, not a value.
+    # Lanczos would stop only at breakdown (about 120 iterations), so cap it at 3
+    monkeypatch.setattr(
+        eigensolve,
+        "extremal_eigenvalues",
+        functools.partial(eigensolve.extremal_eigenvalues, max_iterations=3),
+    )
+    code, out, err = run(capsys, "verify-recursive-5cycles", "--tol", "1e-300")
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "FAIL: recursive check failed at k = 0: Lanczos did not converge in 3 iterations: "
+        "residuals ("
+    )
+    assert err.endswith(") vs target tol * valency = 1.344e-297\n")
+    assert "coset count" not in err
 
 
 def test_usage_error_unknown_subcommand(capsys):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cayley_spectra import eigensolve
 from cayley_spectra.eigensolve import (
     DEFAULT_SEED,
     MatrixOperator,
@@ -20,6 +21,8 @@ from cayley_spectra.eigensolve import (
 )
 from cayley_spectra.errors import SizeLimitError, VerificationError
 from cayley_spectra.permutations import (
+    _compose,
+    _neighbor_table,
     alternating_group,
     cayley_adjacency,
     enumerate_class_cycles,
@@ -174,17 +177,67 @@ def test_filtration_levels_are_prefixes_of_one_table():
     group = alternating_group(8)
     cycles = enumerate_class_cycles(8, 5)
     operators = filtration_operators(group, cycles)
-    table = operators[0]._neighbor_rows()
+    heads, tails, pairs = operators[0]._factor_rows()
     x = np.random.default_rng(3).standard_normal(group.order)
     assert len(operators) == 5
     for k, op in enumerate(operators):
         connection = [t for t in t_filtration(cycles, k) if group.contains(t)]
         fresh = cayley_adjacency(group, connection)
-        rows = op._neighbor_rows()
-        assert np.shares_memory(rows, table)
+        level_heads, level_tails, level_pairs = op._factor_rows()
+        assert np.shares_memory(level_heads, heads)
+        assert np.shares_memory(level_tails, tails)
+        assert np.shares_memory(level_pairs, pairs)
         position = {t: i for i, t in enumerate(op.connection)}
         assert sorted(position.values()) == list(range(len(connection)))
         # the same rows as the fresh build, matched element by element
-        assert np.array_equal(rows[[position[t] for t in connection]], fresh._neighbor_rows())
+        rows = _compose(level_heads, level_tails, level_pairs)
+        fresh_rows = _compose(*fresh._factor_rows())
+        assert np.array_equal(rows[[position[t] for t in connection]], fresh_rows)
         # the sums run in another order: at most 1344 terms of size ~4, so 1e-9 is loose
         assert np.allclose(op.matvec(x), fresh.matvec(x), rtol=0, atol=1e-9)
+
+
+def test_recursive_check_names_an_integer_mismatch(monkeypatch):
+    exact = eigensolve.quotient_lambda2_recursive
+    monkeypatch.setattr(
+        eigensolve, "quotient_lambda2_recursive", lambda *args: exact(*args) + 1
+    )
+    with pytest.raises(VerificationError) as info:
+        eigensolve.verify_recursive_5cycles()
+    message = str(info.value)
+    assert message.startswith("recursive check failed at k = 0: integer mismatch: lambda1 = 1344 ")
+    assert "vs valency 1344, lambda2 = 384 (numeric 38" in message
+    assert message.endswith(") vs exact coset count 385")
+    assert "converge" not in message
+    assert info.value.context["exact"] == 385
+
+
+def test_alt8_levels_match_the_composed_table():
+    group = alternating_group(8)
+    operators = filtration_operators(group, enumerate_class_cycles(8, 5))
+    table = _neighbor_table(group, operators[0].connection)
+    x = np.random.default_rng(5).standard_normal(group.order)
+    expected = np.zeros(group.order)
+    done = 0
+    for op in reversed(operators):  # each level's connection extends the next level's
+        for row in table[done : op.valency]:
+            expected += x[row]
+        done = op.valency
+        assert np.allclose(op.matvec(x), expected, rtol=0, atol=1e-9)
+
+
+def test_alt8_levels_gather_each_factor_once(monkeypatch):
+    group = alternating_group(8)
+    operators = filtration_operators(group, enumerate_class_cycles(8, 5))
+    x = np.random.default_rng(5).standard_normal(group.order)
+    gathers = []
+    for op in operators:
+        op.matvec(x)  # the first call builds the factor rows and the grouping
+        calls = []
+        take = np.take
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "take", lambda *args, **kw: calls.append(1) or take(*args, **kw))
+            op.matvec(x)
+        gathers.append(len(calls))
+    # one gather per distinct head and tail; one per element would be 1344, 840, 480, 240, 96
+    assert gathers == [174, 112, 112, 92, 56]

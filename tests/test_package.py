@@ -44,7 +44,9 @@ INVARIANTS_UNDER_O = """
 import sys
 import cayley_spectra.spectra as spectra
 from cayley_spectra.errors import VerificationError
-from cayley_spectra.permutations import Permutation, _neighbor_table, alternating_group
+from cayley_spectra.permutations import (
+    Permutation, _neighbor_table, alternating_group, cayley_adjacency, enumerate_class_cycles
+)
 
 assert False, "asserts are stripped under -O"
 fired = []
@@ -58,6 +60,12 @@ try:
     _neighbor_table(alternating_group(5), [Permutation.from_cycles(5, [(1, 2)])])
 except VerificationError as exc:
     fired.append("does not stabilize" in str(exc))
+op = cayley_adjacency(alternating_group(5), enumerate_class_cycles(5, 3))
+op.connection[0] = Permutation.from_cycles(5, [(1, 2)])  # past the constructor's check
+try:
+    op.matvec([1.0] * op.dim)
+except VerificationError as exc:
+    fired.append("does not stabilize" in str(exc))
 print(sys.flags.optimize, fired)
 """
 
@@ -65,7 +73,7 @@ print(sys.flags.optimize, fired)
 def test_invariants_fire_under_python_O(monkeypatch):
     monkeypatch.delenv("CAYLEY_SPECTRA_MAX_N", raising=False)
     out = run_python("-O", "-c", INVARIANTS_UNDER_O)
-    assert out.stdout == "1 [True, True]\n"
+    assert out.stdout == "1 [True, True, True]\n"
     usage_errors = {
         ("verify-recursive-5cycles", "--tol", "nan"): "error: need 0 < tol < 1, got tol = nan\n",
         ("char", "--partition", "1^995", "--type", "1^995"): "error: mn_character is capped at n <= 14 "

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from cayley_spectra.errors import SizeLimitError, VerificationError
 from cayley_spectra.permutations import (
+    DENSE_ORDER_LIMIT,
     CayleyOperator,
     GroupSlice,
     Permutation,
@@ -306,7 +307,10 @@ def test_operator_validates_connection():
 
 
 def test_operator_prefix_is_validated_and_shares_the_table():
-    op = cayley_adjacency(symmetric_group(4), enumerate_class_cycles(4, 3))
+    # the 4-cycles are composed, so the shared head rows are not empty
+    op = cayley_adjacency(
+        symmetric_group(4), enumerate_class_cycles(4, 3) + enumerate_class_cycles(4, 4)
+    )
     with pytest.raises(ValueError, match="inverse-closed"):
         op.prefix(1)  # (1 2 3) without (1 3 2)
     for bad in (-1, op.valency + 1):
@@ -314,7 +318,12 @@ def test_operator_prefix_is_validated_and_shares_the_table():
             op.prefix(bad)
     pair = op.prefix(2)
     assert pair.connection == op.connection[:2]
-    assert np.shares_memory(pair._neighbor_rows(), op._neighbor_rows())
+    heads, tails, pairs = op._factor_rows()
+    pair_heads, pair_tails, pair_pairs = pair._factor_rows()
+    assert np.shares_memory(pair_heads, heads)
+    assert np.shares_memory(pair_tails, tails)
+    assert np.shares_memory(pair_pairs, pairs)
+    assert np.array_equal(pair_pairs, pairs[:2])
     assert np.array_equal(pair.dense(), brute_adjacency(pair.slice, pair.connection))
 
 
@@ -461,3 +470,41 @@ def test_neighbor_table_rejects_an_element_outside_the_slice():
     ):
         with pytest.raises(VerificationError, match="does not stabilize"):
             _neighbor_table(slice_, [Permutation.identity(slice_.degree), outsider])
+
+
+# --- the factored matvec against the dense matrix -------------------------
+
+
+def _members_of_type(slice_, cycle_type):
+    return [p for p in slice_.members() if p.cycle_type() == cycle_type]
+
+
+@pytest.mark.parametrize(
+    "slice_, connection",
+    [
+        (symmetric_group(6), enumerate_class_cycles(6, 5)),  # 3-cycle heads, 3-cycle tails
+        (alternating_group(7), enumerate_class_cycles(7, 5)),
+        (symmetric_group(7), enumerate_class_cycles(7, 7)),  # the tail is a composed 5-cycle
+        (alternating_group(6), _members_of_type(alternating_group(6), (3, 3))),
+        (alternating_group(6), _members_of_type(alternating_group(6), (2, 2, 1, 1))),
+    ],
+    ids=["Sym(6) 5-cycles", "Alt(7) 5-cycles", "Sym(7) 7-cycles", "Alt(6) (3,3)", "Alt(6) (2,2)"],
+)
+def test_factored_matvec_equals_the_dense_product(slice_, connection):
+    op = cayley_adjacency(slice_, connection)
+    _, _, pairs = op._factor_rows()
+    involutions = all(t * t == Permutation.identity(slice_.degree) for t in connection)
+    # only an all-involution set pairs every element with the identity head
+    assert (pairs[:, 0] < 0).all() == involutions
+
+    def reference(v):
+        if op.dim <= DENSE_ORDER_LIMIT:
+            return op.dense() @ v
+        # past the dense cap: the rows of the dense matrix, summed one at a time
+        return sum(v[row] for row in searchsorted_table(slice_, connection))
+
+    x = np.random.default_rng(11).standard_normal(op.dim)
+    assert np.allclose(op.matvec(x), reference(x), rtol=0, atol=1e-9)
+    # integer input: every partial sum is exact, so the order of the adds cannot show
+    ints = np.arange(op.dim, dtype=np.float64)
+    assert np.array_equal(op.matvec(ints), reference(ints))
