@@ -2,16 +2,15 @@
 
 Everything here is exact integer arithmetic.  The rule peels the cycles
 largest first, one cycle at a time, carrying every shape reached so far with
-its signed count, so its depth never grows with the number of cycles.  Whole
-characters are memoized on (shape, type) in a plain ``functools.cache``,
-which is safe for concurrent readers.
+its signed count, so its depth never grows with the number of cycles.  Each
+call recomputes its character; only the rim hooks of each (shape, length)
+are memoized, in :mod:`cayley_spectra.young`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from functools import cache
 from math import factorial
 
 from .errors import SizeLimitError
@@ -30,7 +29,6 @@ CycleType = Partition
 CHARACTER_TABLE_LIMIT = 10
 
 
-@cache
 def _mn(lam: Partition, tau: CycleType) -> int:
     # frontier: every shape left after peeling the cycles seen so far, with
     # the signed number of ways to reach it

@@ -32,6 +32,17 @@ def _bracket(lam) -> str:
     return "[" + format_partition(lam) + "]"
 
 
+def _check_printable(n: int, k: int, values) -> None:
+    """Reject (n, k), before any output, when one of the integers to print has
+    more decimal digits than ``str()`` converts under the interpreter's limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(abs(v) >= 10**limit for v in values):
+        raise ValueError(
+            f"n = {n}, k = {k} gives an integer longer than the interpreter's "
+            f"{limit}-digit limit for int-to-str conversion"
+        )
+
+
 def cmd_spectrum(args) -> int:
     entries = spectra.full_spectrum(args.n, args.k)
     if args.format == "json":
@@ -109,6 +120,7 @@ def cmd_table1(args) -> int:
             continue
         lam = spectra.concrete_shape(shape_id, args.n)
         rows.append((shape_id, lam, spectra.closed_form_table1(shape_id, args.n, args.k)))
+    _check_printable(args.n, args.k, [value for _, _, value in rows if value is not None])
     asserted = spectra.in_asserted_regime(args.n, args.k)
     if args.format == "json":
         print(
@@ -142,6 +154,7 @@ def cmd_table1(args) -> int:
 def cmd_quotient(args) -> int:
     q = quotient.quotient_matrix_gamma(args.n, args.k)
     top, second = quotient.quotient_eigenvalues_gamma(args.n, args.k)
+    _check_printable(args.n, args.k, [q.diagonal, q.off_diagonal, top, second])
     if args.format == "json":
         print(
             json.dumps(

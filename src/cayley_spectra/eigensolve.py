@@ -146,6 +146,9 @@ def extremal_eigenvalues(
         raise ValueError(f"need 1 <= count <= dim, got count = {count}, dim = {dim}")
     if not 0 < tol < 1:
         raise ValueError(f"need 0 < tol < 1, got tol = {tol!r}")
+    eps = float(np.finfo(np.float64).eps)
+    if tol < eps:  # residuals bottom out near eps * norm: a smaller target is never met
+        raise ValueError(f"need tol >= float64 eps = {eps!r}, got tol = {tol!r}")
     if max_iterations < count:
         raise ValueError(
             f"need max_iterations >= count, got max_iterations = {max_iterations}, count = {count}"

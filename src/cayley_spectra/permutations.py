@@ -1,5 +1,5 @@
-"""Explicit permutations, conjugacy classes of cycles, coordinate subgroups,
-and implicit Cayley adjacency operators.
+"""Explicit permutations, conjugacy classes of cycles, the groups Sym(n) and
+Alt(n), and implicit Cayley adjacency operators.
 
 Permutations act on {1, ..., degree}; composition is (sigma * pi)(x) =
 sigma(pi(x)).  Vertices of a Cayley graph are the members of a
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -162,34 +161,23 @@ class Permutation:
 
 @dataclass(frozen=True)
 class GroupSlice:
-    """A subgroup of Sym(degree) cut out by coordinates: optionally only even
-    permutations, optionally pointwise fixing a set of points."""
+    """Sym(degree), or Alt(degree) when ``even_only``."""
 
     degree: int
     even_only: bool = False
-    fixed: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be positive")
-        object.__setattr__(self, "fixed", frozenset(int(p) for p in self.fixed))
-        if any(not 1 <= p <= self.degree for p in self.fixed):
-            raise ValueError(f"fixed points {sorted(self.fixed)} outside 1..{self.degree}")
-
-    def free_points(self) -> list[int]:
-        return [p for p in range(1, self.degree + 1) if p not in self.fixed]
 
     @property
     def order(self) -> int:
-        m = self.degree - len(self.fixed)
-        if self.even_only and m >= 2:
-            return factorial(m) // 2
-        return factorial(m)
+        if self.even_only and self.degree >= 2:
+            return factorial(self.degree) // 2
+        return factorial(self.degree)
 
     def contains(self, perm: Permutation) -> bool:
         if perm.degree != self.degree:
-            return False
-        if any(not perm.fixes(p) for p in self.fixed):
             return False
         return perm.is_even() if self.even_only else True
 
@@ -200,69 +188,61 @@ class GroupSlice:
     def unrank(self, index: int) -> Permutation:
         """The index-th member in lexicographic order, without enumerating the group.
 
-        Lexicographic arrangements 2i and 2i+1 of the free values differ only
-        in their last two, so an even-only slice keeps exactly one of each
-        pair: its index-th member is arrangement 2i, or that one with the last
-        two free images swapped.
+        Lexicographic permutations 2i and 2i+1 of Sym(degree) differ only in
+        their last two images, so an even-only slice keeps exactly one of each
+        pair: its index-th member is permutation 2i, or that one with the last
+        two images swapped.
         """
         if not 0 <= index < self.order:
             raise ValueError(f"index {index} outside 0..{self.order - 1}")
-        free = self.free_points()
-        remaining = list(free)
-        images = list(range(1, self.degree + 1))
+        remaining = list(range(1, self.degree + 1))
         arrangement = 2 * index if self.even_only else index
-        for pos in free:
+        images = []
+        for _ in range(self.degree):
             slot, arrangement = divmod(arrangement, factorial(len(remaining) - 1))
-            images[pos - 1] = remaining.pop(slot)
+            images.append(remaining.pop(slot))
         if not self.contains(Permutation(images)):
-            a, b = free[-2] - 1, free[-1] - 1
-            images[a], images[b] = images[b], images[a]
+            images[-2], images[-1] = images[-1], images[-2]
         return Permutation(images)
 
     def rank(self, perm: Permutation) -> int:
         """Inverse of :func:`unrank`; requires membership."""
         if not self.contains(perm):
             raise ValueError(f"{perm!r} is not a member of {self}")
-        free = self.free_points()
-        remaining = list(free)
+        remaining = list(range(1, self.degree + 1))
         index = 0
-        for pos in free:
-            slot = remaining.index(perm(pos))
+        for image in perm.images:
+            slot = remaining.index(image)
             index = index * len(remaining) + slot
             remaining.pop(slot)
         return index // 2 if self.even_only else index
 
 
-@cache
 def _member_matrix(slice_: GroupSlice) -> np.ndarray:
     """(order, degree) uint8 array of 0-based images, rows in lexicographic order.
 
-    The arrangements of the m free points grow one position at a time: those
-    of s values are s blocks, one per first value v in ascending order, each
-    holding the arrangements of s-1 values with every value >= v raised by
-    one, which keeps the order lexicographic.  An even-only slice keeps the
-    rows whose pairwise inversions XOR to 0.
+    The arrangements grow one position at a time: those of s values are s
+    blocks, one per first value v in ascending order, each holding the
+    arrangements of s-1 values with every value >= v raised by one, which
+    keeps the order lexicographic.  An even-only slice keeps the rows whose
+    pairwise inversions XOR to 0.
     """
     if slice_.degree > MAX_MATERIALIZED_DEGREE:
         raise SizeLimitError(
             f"group materialization is capped at degree {MAX_MATERIALIZED_DEGREE}, "
             f"got degree {slice_.degree}"
         )
-    free = np.array(slice_.free_points(), dtype=np.uint8) - 1
-    m = len(free)
-    arrangements = np.zeros((1, 0), dtype=np.uint8)
-    for size in range(1, m + 1):
-        first = np.repeat(np.arange(size, dtype=np.uint8), len(arrangements))[:, None]
-        rest = np.tile(arrangements, (size, 1))
+    members = np.zeros((1, 0), dtype=np.uint8)
+    for size in range(1, slice_.degree + 1):
+        first = np.repeat(np.arange(size, dtype=np.uint8), len(members))[:, None]
+        rest = np.tile(members, (size, 1))
         rest += rest >= first
-        arrangements = np.hstack([first, rest])
+        members = np.hstack([first, rest])
     if slice_.even_only:
-        odd = np.zeros(len(arrangements), dtype=bool)
-        for i, j in itertools.combinations(range(m), 2):
-            odd ^= arrangements[:, i] > arrangements[:, j]
-        arrangements = arrangements[~odd]
-    members = np.tile(np.arange(slice_.degree, dtype=np.uint8), (len(arrangements), 1))
-    members[:, free] = free[arrangements]
+        odd = np.zeros(len(members), dtype=bool)
+        for i, j in itertools.combinations(range(slice_.degree), 2):
+            odd ^= members[:, i] > members[:, j]
+        members = members[~odd]
     return members
 
 
@@ -323,34 +303,31 @@ def coset_count(
 class _RankLookup:
     """Rank of t * g for every member g of a slice, read from one lookup table.
 
-    With m free points, members that agree on their first m-2 free-point
-    images differ only in the order of the last two, so they sit next to each
-    other in lexicographic order, ascending pair first; an even-only slice
-    keeps exactly one of the two.  The table maps the base-m key of those m-2
-    images, free points numbered 0..m-1, to the rank of the first member with
-    them, and holds -1 where no member has them.  For Alt(8) it has 8^6 int32
-    entries, 1 MB.
+    Members of degree n that agree on their first n-2 images differ only in
+    the order of the last two, so they sit next to each other in
+    lexicographic order, ascending pair first; an even-only slice keeps
+    exactly one of the two.  The table maps the base-n key of those n-2
+    0-based images to the rank of the first member with them, and holds -1
+    where no member has them.  For Alt(8) it has 8^6 int32 entries, 1 MB.
     """
 
     def __init__(self, slice_: GroupSlice):
-        members = _member_matrix(slice_)
-        free = np.array(slice_.free_points(), dtype=np.intp) - 1
-        m = len(free)
-        head = max(m - 2, 0)
-        self._weights = m ** np.arange(head - 1, -1, -1, dtype=np.int32)
-        self._digits = np.zeros(slice_.degree, dtype=np.int32)
-        self._digits[free] = np.arange(m)
-        # flat positions of the head images in a (head, degree) table of weighted digits
-        self._heads = members[:, free[:head]].T + (np.arange(head) * slice_.degree)[:, None]
+        n = slice_.degree
+        head = max(n - 2, 0)
+        # one contiguous row of images per position, so every gather below is row-major
+        columns = _member_matrix(slice_).T.copy()
+        self._weights = n ** np.arange(head - 1, -1, -1, dtype=np.int32)
+        # flat positions of the head images in a (head, degree) table of weighted images
+        self._heads = columns[:head] + (np.arange(head) * n)[:, None]
         # the two orders of the last two images are both members only in a full slice
-        self._tails = members[:, free[head:]].T if m >= 2 and not slice_.even_only else None
+        self._tails = columns[head:] if n >= 2 and not slice_.even_only else None
         step = 1 if self._tails is None else 2
-        self._lookup = np.full(m**head, -1, dtype=np.int32)
-        keys = self._keys(np.arange(slice_.degree))
+        self._lookup = np.full(n**head, -1, dtype=np.int32)
+        keys = self._keys(np.arange(n))
         self._lookup[keys[::step]] = np.arange(0, slice_.order, step, dtype=np.int32)
 
     def _keys(self, t0: np.ndarray) -> np.ndarray:
-        weighted = np.outer(self._weights, self._digits[t0]).ravel()
+        weighted = np.outer(self._weights, t0.astype(np.int32)).ravel()
         return weighted[self._heads].sum(axis=0, dtype=np.int32)
 
     def ranks(self, t0: np.ndarray) -> np.ndarray:

@@ -8,8 +8,6 @@ that symbolic form exactly — nothing here touches floating point.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -43,11 +41,14 @@ class QuotientMatrix:
         return (s,) * self.order
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in self.entries:
-            writer.writerow([str(v) for v in row])
-        return buf.getvalue()
+        # every row repeats the same two integers: convert each one once
+        diagonal, off_diagonal = str(self.diagonal), str(self.off_diagonal)
+        lines = []
+        for r in range(self.order):
+            cells = [off_diagonal] * self.order
+            cells[r] = diagonal
+            lines.append(",".join(cells) + "\n")
+        return "".join(lines)
 
 
 def quotient_matrix_gamma(n: int, k: int) -> QuotientMatrix:
@@ -88,7 +89,7 @@ def quotient_lambda2_recursive(
         |T_k ∩ slice fixing k+1|  -  |T_k ∩ slice sending k+2 to k+1|
 
     The two counts are the diagonal and off-diagonal entries of the quotient
-    over the cosets of the stabilizer of k+1 (restricted to the free points).
+    over the cosets of the stabilizer of k+1 in the slice.
     """
     if k < 0 or k + 2 > slice_.degree:
         raise ValueError(f"need 0 <= k <= degree-2, got k = {k}, degree = {slice_.degree}")

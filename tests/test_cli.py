@@ -4,6 +4,8 @@ import csv
 import functools
 import io
 import json
+import sys
+import time
 
 import pytest
 
@@ -156,21 +158,40 @@ def test_usage_error_table1_without_a_cycle_class(capsys, n):
 
 
 def test_verify_names_the_unreached_tolerance(capsys, monkeypatch):
-    # no residual reaches 1e-300 * valency: the failure is convergence, not a value.
-    # Lanczos would stop only at breakdown (about 120 iterations), so cap it at 3
+    # 3 iterations cannot reach 1e-12 * valency: the failure is convergence, not a value
     monkeypatch.setattr(
         eigensolve,
         "extremal_eigenvalues",
         functools.partial(eigensolve.extremal_eigenvalues, max_iterations=3),
     )
-    code, out, err = run(capsys, "verify-recursive-5cycles", "--tol", "1e-300")
+    code, out, err = run(capsys, "verify-recursive-5cycles", "--tol", "1e-12")
     assert (code, out) == (1, "")
     assert err.startswith(
         "FAIL: recursive check failed at k = 0: Lanczos did not converge in 3 iterations: "
         "residuals ("
     )
-    assert err.endswith(") vs target tol * valency = 1.344e-297\n")
+    assert err.endswith(") vs target tol * valency = 1.344e-09\n")
     assert "coset count" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quotient", "--n", "20000", "--k", "0"),  # 4e8 entries; 19998! has 77,329 digits
+        ("quotient", "--n", "3000", "--k", "0"),  # 2998! has 9,124 digits
+        ("table1", "--n", "3000", "--k", "1"),
+    ],
+)
+def test_integers_past_the_str_digit_limit_are_a_usage_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    n, k = argv[2], argv[4]
+    assert err == (
+        f"error: n = {n}, k = {k} gives an integer longer than the interpreter's "
+        f"{sys.get_int_max_str_digits()}-digit limit for int-to-str conversion\n"
+    )
 
 
 def test_usage_error_unknown_subcommand(capsys):

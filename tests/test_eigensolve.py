@@ -154,7 +154,9 @@ def test_extremal_count_validation():
         extremal_eigenvalues(MatrixOperator(K4), count=5)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, 1.0])
+@pytest.mark.parametrize(
+    "tol", [float("nan"), float("inf"), 0.0, -1.0, 1.0, 1e-300, np.finfo(np.float64).eps / 2]
+)
 def test_extremal_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol"):
         extremal_eigenvalues(gamma51(), count=2, tol=tol)

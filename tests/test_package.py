@@ -79,6 +79,10 @@ def test_invariants_fire_under_python_O(monkeypatch):
         ("char", "--partition", "1^995", "--type", "1^995"): "error: mn_character is capped at n <= 14 "
         "(override with CAYLEY_SPECTRA_MAX_N), got n = 995\n",
         ("conjecture", "--n-max", "2"): "error: conjecture_check needs n_max >= 4, got n_max = 2\n",
+        ("verify-recursive-5cycles", "--tol", "1e-300"): "error: need tol >= float64 eps = "
+        "2.220446049250313e-16, got tol = 1e-300\n",
+        ("quotient", "--n", "3000", "--k", "0"): "error: n = 3000, k = 0 gives an integer longer "
+        "than the interpreter's 4300-digit limit for int-to-str conversion\n",
     }
     for argv, message in usage_errors.items():
         cli = run_python("-O", "-m", "cayley_spectra.cli", *argv, check=False)

@@ -5,6 +5,9 @@ expressions, literal neighbor counting on the graph, and membership of the
 quotient eigenvalues in the full character spectrum.
 """
 
+import csv
+import io
+
 import pytest
 
 from cayley_spectra.permutations import (
@@ -118,3 +121,11 @@ def test_to_csv():
     assert len(lines) == 5
     assert lines[0] == "6,6,6,6,6"
     assert lines[1] == "6,6,6,6,6"
+
+
+@pytest.mark.parametrize("n, k", [(2, 0), (5, 0), (7, 2), (12, 3), (30, 0)])
+def test_to_csv_matches_the_csv_module_on_every_entry(n, k):
+    q = quotient_matrix_gamma(n, k)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(q.entries)
+    assert q.to_csv() == buf.getvalue()
