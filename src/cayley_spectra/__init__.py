@@ -5,7 +5,13 @@ recursion, eigenvalues chi(sigma)/f * |class| from beta-sets with multiplicity
 f^2, closed forms for the fourteen low-dimension shapes, quotient matrices of
 the point-stabilizer coset partition, dense brute-force spectra, and a
 Lanczos certification pipeline for the filtered 5-cycle graphs on Alt(8).
+
+The exact routes need no arrays. The names of the two array routes,
+``eigensolve`` and ``permutations``, load on first use, so that importing the
+package does not import numpy.
 """
+
+from importlib import import_module
 
 from .characters import (
     character_table,
@@ -14,25 +20,7 @@ from .characters import (
     cycle_type_sign,
     mn_character,
 )
-from .eigensolve import (
-    MatrixOperator,
-    dense_spectrum,
-    extremal_eigenvalues,
-    five_cycle_lambda2_formula,
-    verify_recursive_5cycles,
-)
 from .errors import SizeLimitError, VerificationError
-from .permutations import (
-    CayleyOperator,
-    GroupSlice,
-    Permutation,
-    alternating_group,
-    cayley_adjacency,
-    coset_count,
-    enumerate_class_cycles,
-    symmetric_group,
-    t_filtration,
-)
 from .quotient import (
     QuotientMatrix,
     coset_cells,
@@ -71,6 +59,44 @@ from .young import (
 )
 
 __version__ = "0.1.0"
+
+#: name -> the numpy-backed submodule that defines it, imported on first lookup
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "MatrixOperator",
+            "dense_spectrum",
+            "extremal_eigenvalues",
+            "five_cycle_lambda2_formula",
+            "verify_recursive_5cycles",
+        ),
+        "eigensolve",
+    ),
+    **dict.fromkeys(
+        (
+            "CayleyOperator",
+            "GroupSlice",
+            "Permutation",
+            "alternating_group",
+            "cayley_adjacency",
+            "coset_count",
+            "enumerate_class_cycles",
+            "symmetric_group",
+            "t_filtration",
+        ),
+        "permutations",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups bypass this hook
+    return value
+
 
 __all__ = [
     "CayleyOperator",

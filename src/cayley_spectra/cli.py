@@ -11,21 +11,20 @@ import sys
 from itertools import count
 from math import factorial
 
-import numpy as np
-
-from . import eigensolve, quotient, spectra
+from . import quotient, spectra
 from .characters import mn_character
 from .errors import SizeLimitError, VerificationError
-from .permutations import (
-    DENSE_ORDER_LIMIT,
-    cayley_adjacency,
-    enumerate_class_cycles,
-    symmetric_group,
-)
+from .spectra import DEFAULT_SEED, DEFAULT_TOL, DENSE_ORDER_LIMIT
 from .young import format_partition, parse_partition
+
+# numpy, eigensolve and permutations are imported inside the two commands that
+# build arrays: every other command is exact integer work and starts faster
 
 #: largest degree whose whole group fits a dense adjacency matrix
 BRUTEFORCE_MAX_N = next(n for n in count(1) if factorial(n + 1) > DENSE_ORDER_LIMIT)
+
+#: largest matrix text (64 MiB) that `quotient --format table|csv` prints
+QUOTIENT_TEXT_LIMIT = 64 * 2**20
 
 
 def _bracket(lam) -> str:
@@ -113,15 +112,26 @@ def cmd_conjecture(args) -> int:
 
 def cmd_table1(args) -> int:
     spectra.class_size(args.n, args.k)  # the range check on (n, k), before any row
+    asserted = spectra.in_asserted_regime(args.n, args.k)
     rows = []
     for shape_id, rule in spectra.TABLE1_SHAPES.items():
         if args.n < rule.min_n:
             rows.append((shape_id, None, None))
             continue
         lam = spectra.concrete_shape(shape_id, args.n)
-        rows.append((shape_id, lam, spectra.closed_form_table1(shape_id, args.n, args.k)))
-    _check_printable(args.n, args.k, [value for _, _, value in rows if value is not None])
-    asserted = spectra.in_asserted_regime(args.n, args.k)
+        # exact: outside the asserted regime a closed form may be a fraction, printed as such
+        value = spectra.closed_form_value(shape_id, args.n, args.k)
+        if asserted and value.denominator != 1:
+            raise VerificationError(
+                f"closed form for {shape_id!r} non-integral at n={args.n}, k={args.k} "
+                f"inside the asserted regime: {value}"
+            )
+        rows.append((shape_id, lam, value))
+    _check_printable(
+        args.n,
+        args.k,
+        [part for _, _, value in rows if value is not None for part in (value.numerator, value.denominator)],
+    )
     if args.format == "json":
         print(
             json.dumps(
@@ -155,6 +165,14 @@ def cmd_quotient(args) -> int:
     q = quotient.quotient_matrix_gamma(args.n, args.k)
     top, second = quotient.quotient_eigenvalues_gamma(args.n, args.k)
     _check_printable(args.n, args.k, [q.diagonal, q.off_diagonal, top, second])
+    if args.format != "json":
+        # n rows of n entries, each at most the longer entry's digits and one separator
+        size = q.order**2 * (max(len(str(q.diagonal)), len(str(q.off_diagonal))) + 1)
+        if size > QUOTIENT_TEXT_LIMIT:
+            raise SizeLimitError(
+                f"the quotient matrix at n = {args.n}, k = {args.k} would print up to {size} bytes, "
+                f"past the {QUOTIENT_TEXT_LIMIT}-byte cap; --format json prints its two entries"
+            )
     if args.format == "json":
         print(
             json.dumps(
@@ -188,6 +206,11 @@ def cmd_char(args) -> int:
 def cmd_bruteforce(args) -> int:
     if args.n > BRUTEFORCE_MAX_N:
         raise ValueError(f"brute force is capped at n <= {BRUTEFORCE_MAX_N}, got n = {args.n}")
+    import numpy as np
+
+    from . import eigensolve
+    from .permutations import cayley_adjacency, enumerate_class_cycles, symmetric_group
+
     op = cayley_adjacency(
         symmetric_group(args.n), enumerate_class_cycles(args.n, args.n - args.k)
     )
@@ -205,6 +228,8 @@ def cmd_bruteforce(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import eigensolve
+
     try:
         report = eigensolve.verify_recursive_5cycles(tol=args.tol, seed=args.seed)
     except VerificationError as exc:
@@ -291,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-recursive-5cycles",
         help="certify the filtered 5-cycle graphs on Alt(8) by Lanczos + coset counts",
     )
-    p.add_argument("--tol", type=float, default=eigensolve.DEFAULT_TOL)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=eigensolve.DEFAULT_SEED)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_verify)
 

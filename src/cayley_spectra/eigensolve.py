@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import SizeLimitError, VerificationError
 from .permutations import (
-    DENSE_ORDER_LIMIT,
     CayleyOperator,
     GroupSlice,
     Permutation,
@@ -31,10 +30,8 @@ from .permutations import (
     t_filtration,
 )
 from .quotient import quotient_lambda2_recursive
-from .spectra import class_size
+from .spectra import DEFAULT_SEED, DEFAULT_TOL, DENSE_ORDER_LIMIT, class_size
 
-DEFAULT_TOL = 1e-9
-DEFAULT_SEED = 0x5EED
 MAX_LANCZOS_ITERATIONS = 500
 INTEGRALITY_TOL = 1e-6
 

@@ -17,12 +17,10 @@ from math import factorial
 import numpy as np
 
 from .errors import SizeLimitError, VerificationError
+from .spectra import DENSE_ORDER_LIMIT
 
 #: |Alt(9)| = 181440 is the largest group we will materialize element by element
 MAX_MATERIALIZED_DEGREE = 9
-
-#: dense adjacency matrices stop being reasonable past this order
-DENSE_ORDER_LIMIT = 1000
 
 
 class Permutation:

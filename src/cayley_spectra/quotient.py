@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import SizeLimitError
-from .permutations import CayleyOperator, GroupSlice, Permutation, coset_count
 from .spectra import class_size
+
+if TYPE_CHECKING:
+    from .permutations import CayleyOperator, GroupSlice, Permutation
 
 #: vertex cap for explicit equitable-partition verification (|Sym(7)| = 5040)
 EQUITABLE_VERIFY_LIMIT = 5040
@@ -91,6 +92,8 @@ def quotient_lambda2_recursive(
     The two counts are the diagonal and off-diagonal entries of the quotient
     over the cosets of the stabilizer of k+1 in the slice.
     """
+    from .permutations import coset_count  # numpy: loaded only on this route
+
     if k < 0 or k + 2 > slice_.degree:
         raise ValueError(f"need 0 <= k <= degree-2, got k = {k}, degree = {slice_.degree}")
     fixing = coset_count(class_members, slice_, fixes=k + 1)
@@ -111,6 +114,8 @@ def coset_cells(operator: CayleyOperator, point: int) -> list[list[int]]:
 def verify_equitable(operator: CayleyOperator, cells: list[list[int]]) -> bool:
     """Explicitly check that every vertex of a cell has the same number of
     neighbors in every other cell."""
+    import numpy as np
+
     if operator.dim > EQUITABLE_VERIFY_LIMIT:
         raise SizeLimitError(
             f"equitable verification is capped at {EQUITABLE_VERIFY_LIMIT} vertices, "

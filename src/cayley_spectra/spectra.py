@@ -34,6 +34,18 @@ from .young import (
 DEFAULT_MAX_N = 14
 MAX_N_ENV_VAR = "CAYLEY_SPECTRA_MAX_N"
 
+# Defaults of the numpy routes (eigensolve, permutations), kept here so that
+# the CLI parser can show them without loading numpy.
+
+#: dense adjacency matrices stop being reasonable past this order
+DENSE_ORDER_LIMIT = 1000
+
+#: Lanczos residual tolerance, relative to ||A||_1
+DEFAULT_TOL = 1e-9
+
+#: seed of the Lanczos start vector
+DEFAULT_SEED = 0x5EED
+
 
 def class_size(n: int, k: int) -> int:
     """|C(n,k)|: the number of (n-k)-cycles in Sym(n), C(n,k choose) * (n-k-1)!.
@@ -227,12 +239,20 @@ def closed_form_table1(shape_id: str, n: int, k: int) -> int:
     *guaranteed* to match the character recursion for 3k+1 < n and for
     k in {0, 1}; see :func:`in_asserted_regime`.
     """
-    concrete_shape(shape_id, n)  # validates the shape id and its minimal n
-    rule = TABLE1_SHAPES[shape_id]
-    value = rule.ratio(n, k) * class_size(n, k)
+    value = closed_form_value(shape_id, n, k)
     if value.denominator != 1:
         raise ArithmeticError(f"closed form for {shape_id!r} non-integral at n={n}, k={k}: {value}")
     return int(value)
+
+
+def closed_form_value(shape_id: str, n: int, k: int) -> Fraction:
+    """The closed form of :func:`closed_form_table1` as an exact fraction.
+
+    Outside :func:`in_asserted_regime` it need not be an integer, e.g. 5/3
+    for 'n-2,1^2' at n = 5, k = 3.
+    """
+    concrete_shape(shape_id, n)  # validates the shape id and its minimal n
+    return TABLE1_SHAPES[shape_id].ratio(n, k) * class_size(n, k)
 
 
 def in_asserted_regime(n: int, k: int) -> bool:

@@ -1,15 +1,17 @@
 """Command-line behavior: exact output lines, formats, exit codes."""
 
 import csv
+import dataclasses
 import functools
 import io
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from cayley_spectra import eigensolve
+from cayley_spectra import cli, eigensolve, spectra
 from cayley_spectra.cli import main
 
 
@@ -106,6 +108,38 @@ def test_table1_regime_note(capsys):
     assert "outside" in out.splitlines()[0]
 
 
+def test_table1_runs_at_every_small_pair(capsys):
+    # 468 (n, k, shape) triples with n <= 40 have a non-integral closed form, all outside the regime
+    for n in range(2, 15):
+        for k in range(n - 1):
+            for fmt in ("table", "json"):
+                code, _, err = run(capsys, "table1", "--n", str(n), "--k", str(k), "--format", fmt)
+                assert (code, err) == (0, ""), (n, k, fmt)
+
+
+def test_table1_prints_a_fraction_outside_the_regime(capsys):
+    code, out, _ = run(capsys, "table1", "--n", "5", "--k", "3")
+    assert code == 0
+    assert "n-2,1^2        3,1,1                5/3\n" in out
+    assert "3,1^(n-3)      3,1,1                -5/3\n" in out
+    code, out, _ = run(capsys, "table1", "--n", "5", "--k", "3", "--format", "json")
+    assert code == 0
+    rows = {row["shape"]: row["eigenvalue"] for row in json.loads(out)["rows"]}
+    assert (rows["n-2,1^2"], rows["n-1,1"], rows["n-3,3"]) == ("5/3", "5", None)
+
+
+def test_table1_fails_on_a_fraction_inside_the_regime(capsys, monkeypatch):
+    rule = spectra.TABLE1_SHAPES["n-1,1"]
+    halved = dataclasses.replace(rule, ratio=lambda n, k: Fraction(1, 2 * spectra.class_size(n, k)))
+    monkeypatch.setitem(spectra.TABLE1_SHAPES, "n-1,1", halved)
+    code, out, err = run(capsys, "table1", "--n", "8", "--k", "1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "verification failure: closed form for 'n-1,1' non-integral at n=8, k=1 "
+        "inside the asserted regime: 1/2\n"
+    )
+
+
 def test_hypothesis_output(capsys):
     code, out, _ = run(capsys, "hypothesis", "--n", "8", "--k", "2")
     assert code == 0
@@ -192,6 +226,26 @@ def test_integers_past_the_str_digit_limit_are_a_usage_error(capsys, argv):
         f"error: n = {n}, k = {k} gives an integer longer than the interpreter's "
         f"{sys.get_int_max_str_digits()}-digit limit for int-to-str conversion\n"
     )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_quotient_matrix_text_is_capped(capsys, fmt):
+    # 10^6 entries of 2,562 digits: about 2.5 GB of text before the cap
+    start = time.perf_counter()
+    code, out, err = run(capsys, "quotient", "--n", "1000", "--k", "0", "--format", fmt)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the quotient matrix at n = 1000, k = 0 would print up to 2563000000 bytes, "
+        f"past the {cli.QUOTIENT_TEXT_LIMIT}-byte cap; --format json prints its two entries\n"
+    )
+
+
+def test_quotient_json_is_not_capped(capsys):
+    code, out, _ = run(capsys, "quotient", "--n", "1000", "--k", "0", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["order"], doc["diagonal"], len(doc["off_diagonal"])) == (1000, "0", 2562)
 
 
 def test_usage_error_unknown_subcommand(capsys):

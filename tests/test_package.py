@@ -25,6 +25,42 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+#: modules that the exact routes import; they must not load numpy when imported
+EXACT_MODULES = ("__init__", "cli", "quotient", "spectra", "characters", "young", "errors")
+ARRAY_MODULES = ("numpy", "cayley_spectra.eigensolve", "cayley_spectra.permutations")
+
+
+def import_time_imports(tree):
+    """(line, module names) of each import run when the module is imported:
+    not those inside a function or under ``if TYPE_CHECKING:``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            for branch in node.orelse:
+                yield from import_time_imports(branch)
+            continue
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["cayley_spectra" if node.level else "", node.module]))
+            yield node.lineno, [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            yield from import_time_imports(node)
+
+
+def test_exact_modules_import_no_array_module():
+    # numpy costs every fresh interpreter about 0.1 s; only the array routes may load it
+    found = [
+        f"{name}.py:{line} {module}"
+        for name in EXACT_MODULES
+        for line, modules in import_time_imports(ast.parse((PACKAGE_DIR / f"{name}.py").read_text()))
+        for module in modules
+        if any(module == banned or module.startswith(banned + ".") for banned in ARRAY_MODULES)
+    ]
+    assert found == []
+
+
 def run_python(*args, check=True):
     path = os.pathsep.join([str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
@@ -36,6 +72,67 @@ def run_python(*args, check=True):
 def test_cli_import_leaves_scipy_unloaded():
     out = run_python("-c", "import cayley_spectra.cli, sys; print('scipy' in sys.modules)")
     assert out.stdout == "False\n"
+
+
+#: runs CLI commands in one fresh interpreter and prints whether numpy was loaded after each group
+NUMPY_AFTER_COMMANDS = """
+import contextlib, io, sys
+from cayley_spectra.cli import main
+
+def loaded_after(*commands):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [main(argv.split()) for argv in commands]
+    return codes, "numpy" in sys.modules
+
+print(loaded_after(
+    "spectrum --n 6 --k 2", "lambda2 --n 7 --k 1", "conjecture --n-max 6", "table1 --n 8 --k 2",
+    "quotient --n 6 --k 2", "char --partition 3,2 --type 3,1,1", "hypothesis --n 8 --k 2",
+))
+print(loaded_after("bruteforce --n 4 --k 1"))
+"""
+
+
+def test_only_the_array_commands_load_numpy():
+    out = run_python("-c", NUMPY_AFTER_COMMANDS)
+    assert out.stdout == "([0, 0, 0, 0, 0, 0, 0], False)\n([0], True)\n"
+
+
+#: imports the package in a fresh interpreter and resolves every exported name
+LAZY_EXPORTS = """
+import sys
+import cayley_spectra as cs
+print("numpy" in sys.modules)
+missing = [name for name in cs.__all__ if getattr(cs, name, None) is None]
+print(missing, "numpy" in sys.modules)
+star = {}
+exec("from cayley_spectra import *", star)
+print(sorted(set(cs.__all__) - set(star)))
+print(cs.dense_spectrum is cs.eigensolve.dense_spectrum, cs.GroupSlice is cs.permutations.GroupSlice)
+try:
+    cs.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def test_package_exports_resolve_lazily():
+    out = run_python("-c", LAZY_EXPORTS)
+    assert out.stdout.splitlines() == [
+        "False",
+        "[] True",
+        "[]",
+        "True True",
+        "module 'cayley_spectra' has no attribute 'no_such_name'",
+    ]
+
+
+def test_cli_defaults_match_the_numpy_routes():
+    from cayley_spectra import cli, eigensolve, permutations
+
+    args = cli.build_parser().parse_args(["verify-recursive-5cycles"])
+    assert (args.tol, args.seed) == (eigensolve.DEFAULT_TOL, eigensolve.DEFAULT_SEED)
+    assert permutations.DENSE_ORDER_LIMIT == 1000
+    assert cli.BRUTEFORCE_MAX_N == 6
 
 
 #: triggers each explicit invariant raise and prints the ones that fired; run
