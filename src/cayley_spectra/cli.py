@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     except (ValueError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except VerificationError as exc:
+    except (VerificationError, ArithmeticError) as exc:  # ArithmeticError: a failed exact identity
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
 

@@ -18,12 +18,13 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, inf, lgamma, log, prod
 from typing import Callable
 
 from .errors import SizeLimitError
 from .young import (
     Partition,
+    _conjugate,
     _dimension,
     beta_set,
     enumerate_partitions,
@@ -72,6 +73,11 @@ def resolve_max_n(explicit: int | None = None) -> int:
     return DEFAULT_MAX_N
 
 
+def _transpose_sign(n: int, k: int) -> int:
+    """Sign of an (n-k)-cycle: the factor from chi^lam to chi^lam' on it."""
+    return (-1) ** (n - k + 1)
+
+
 def eigenvalue_for(lam, n: int, k: int) -> int:
     """Exact eigenvalue contributed by the shape ``lam``, from its beta-set alone."""
     lam = validate_partition(lam)
@@ -105,7 +111,7 @@ def _eigenvalue(lam: Partition, m: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumEntry:
     partition: Partition
     eigenvalue: int
@@ -115,6 +121,11 @@ class SpectrumEntry:
 def full_spectrum(n: int, k: int, max_n: int | None = None) -> list[SpectrumEntry]:
     """Entire spectrum of Cay(Sym(n), C(n,k)), one entry per shape, sorted by
     eigenvalue descending (ties broken by shape enumeration order).
+
+    One pass per conjugate pair {lam, lam'}: f^lam' = f^lam, and chi^lam' is
+    chi^lam times the sign (-1)^(m-1) of an m-cycle, m = n - k (James & Kerber
+    1981, 2.7).  A shape whose largest hook lam_1 + len(lam) - 1 is shorter
+    than m has no m-rim hook, so its eigenvalue is 0 without a bead scan.
 
     The result is checked against the exact trace identities of the adjacency
     matrix A: tr I = n!, tr A = 0 (no (n-k)-cycle is the identity) and
@@ -126,9 +137,21 @@ def full_spectrum(n: int, k: int, max_n: int | None = None) -> list[SpectrumEntr
             f"full_spectrum is capped at n <= {bound} (override with {MAX_N_ENV_VAR}), got n = {n}"
         )
     c = class_size(n, k)  # also the range check on k
+    m = n - k
+    sign = _transpose_sign(n, k)
+    # enumerate_partitions yields valid shapes only, so neither call below revalidates
     shapes = enumerate_partitions(n)
-    # enumerate_partitions yields valid shapes only, so f^lambda skips the revalidation
-    entries = [SpectrumEntry(lam, _eigenvalue(lam, n - k), _dimension(lam) ** 2) for lam in shapes]
+    index = {lam: i for i, lam in enumerate(shapes)}
+    entries: list[SpectrumEntry | None] = [None] * len(shapes)
+    for i, lam in enumerate(shapes):
+        if entries[i] is not None:  # filled from its conjugate
+            continue
+        value = _eigenvalue(lam, m) if lam[0] + len(lam) - 1 >= m else 0
+        square = _dimension(lam) ** 2
+        entries[i] = SpectrumEntry(lam, value, square)
+        j = index[_conjugate(lam)]
+        if j != i:
+            entries[j] = SpectrumEntry(shapes[j], sign * value, square)
     traces = tuple(sum(e.multiplicity * e.eigenvalue**p for e in entries) for p in range(3))
     expected = (factorial(n), 0, factorial(n) * c)
     if traces != expected:
@@ -182,10 +205,6 @@ class _ShapeRule:
     min_n: int
     build: Callable[[int], Partition]
     ratio: Callable[[int, int], Fraction]  # eigenvalue / valency, sign included
-
-
-def _transpose_sign(n: int, k: int) -> int:
-    return (-1) ** (n - k + 1)
 
 
 def _rules() -> dict[str, _ShapeRule]:
@@ -283,19 +302,48 @@ def hypothesis_check(n: int, k: int) -> HypothesisFlags:
     """Predicate triple for the pair (n, k).
 
     * ``unique_rimhook_range``: 3k+1 < n, exact integers.
-    * ``sqrtkfact_bound_holds``: k! (n-1)^2 <= 9 C(n,3)^2, exact integers
-      (the square of sqrt(k!) <= 3/(n-1) * C(n,3)).
+    * ``sqrtkfact_bound_holds``: k! (n-1)^2 <= 9 C(n,3)^2 (the square of
+      sqrt(k!) <= 3/(n-1) * C(n,3)), that is k! <= n^2 (n-2)^2 / 4.
     * ``in_main_theorem_range``: k = 2 is its own small case; for k >= 3 it is
       k <= 2 log_{k/e}(n(n-2)/(2e)) - 1, that is (k/e)^((k+1)/2) <= n(n-2)/(2e),
-      decided exactly as 4 k^(k+1) < n^2 (n-2)^2 e^(k-1).  The right side grows
-      with n, so once the flag holds it holds for every larger n.
+      or 4 k^(k+1) < n^2 (n-2)^2 e^(k-1).  The right side grows with n, so once
+      the flag holds it holds for every larger n.
+
+    The last two compare logarithms in floating point and fall back to exact
+    integers (rational bounds on e) only when the logarithms are within
+    ``LOG_MARGIN`` of each other, which happens only for small k: k! and k^k
+    are never built for a large k.
     """
     if n < 3 or not 0 <= k <= n - 2:
         raise ValueError(f"need n >= 3 and 0 <= k <= n-2, got n = {n}, k = {k}")
     unique = 3 * k + 1 < n
-    sqrt_bound = factorial(k) * (n - 1) ** 2 <= 9 * comb(n, 3) ** 2
-    in_range = k == 2 or (k > 2 and _below_e_power(4 * k ** (k + 1), (n * (n - 2)) ** 2, k - 1))
+    log_n4 = 2 * (log(n) + log(n - 2))  # log n^2 (n-2)^2; log() takes an int of any size
+    try:
+        log_kfact = lgamma(k + 1)
+        log_kpow = log(4) + (k + 1) * log(k) - (k - 1) if k > 2 else 0.0  # log 4 k^(k+1) / e^(k-1)
+    except OverflowError:  # k past the float range: k! and k^k dwarf n^4 for any n held in memory
+        log_kfact = log_kpow = inf
+    sqrt_bound = _log_below(
+        log_kfact, log_n4 - log(4), lambda: factorial(k) * (n - 1) ** 2 <= 9 * comb(n, 3) ** 2
+    )
+    in_range = k == 2 or k > 2 and _log_below(
+        log_kpow, log_n4, lambda: _below_e_power(4 * k ** (k + 1), (n * (n - 2)) ** 2, k - 1)
+    )
     return HypothesisFlags(in_range, unique, sqrt_bound)
+
+
+#: relative gap between two float logarithms past which their order is the
+#: order of the exact sides; lgamma and log are good to a few ulps, far inside it
+LOG_MARGIN = 1e-9
+
+
+def _log_below(log_a: float, log_b: float, exact: Callable[[], bool]) -> bool:
+    """Whether a is below b, given log a (possibly inf) and a finite log b: the
+    logarithms decide when they differ by more than LOG_MARGIN (1 + |log b|), and
+    ``exact()`` decides, with its own strict or non-strict comparison, otherwise."""
+    if abs(log_a - log_b) > LOG_MARGIN * (1 + abs(log_b)):
+        return log_a < log_b
+    return exact()
 
 
 def _below_e_power(a: int, b: int, p: int) -> bool:

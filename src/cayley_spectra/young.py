@@ -1,4 +1,7 @@
-"""Integer partitions, Young diagrams, hook lengths, and rim hooks.
+"""Integer partitions, Young diagrams, hook lengths, dimensions, and rim hooks.
+
+Partitions come from the iterative ZS1 generator and dimensions from
+Frobenius' beta-set formula; both are computed afresh on every call.
 
 Diagram coordinates are 1-based ``(row, column)`` pairs in the English
 convention: row 1 is the longest row and sits on top.
@@ -7,9 +10,12 @@ convention: row 1 is the longest row and sits on top.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
+from itertools import combinations, starmap
+from math import factorial, prod
+from operator import sub
 
 from .errors import SizeLimitError
 
@@ -31,25 +37,45 @@ def validate_partition(parts) -> Partition:
     return lam
 
 
-@cache
-def _partitions(n: int) -> tuple[Partition, ...]:
+def _partitions(n: int) -> Iterator[Partition]:
+    # ZS1 (Zoghbi & Stojmenovic 1998): x[:m] is the current partition and
+    # x[h] its last part above 1.  Each step lowers x[h] by one and refills
+    # the freed cells, plus the trailing ones, with parts as large as allowed.
     if n == 0:
-        return ((),)
-    out: list[Partition] = []
-
-    def extend(prefix: Partition, remaining: int, max_part: int) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            extend(prefix + (part,), remaining - part, part)
-
-    extend((), n, n)
-    return tuple(out)
+        yield ()
+        return
+    x = [1] * n  # every cell past h holds 1 throughout
+    x[0] = n
+    m, h = 1, 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h  # the freed cell plus the trailing ones
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of ``n`` in reverse lexicographic order: [n] first, [1^n] last."""
+    """All partitions of ``n`` in reverse lexicographic order: [n] first, [1^n] last.
+
+    Built afresh on each call by the iterative ZS1 generator; nothing is memoized.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     return list(_partitions(n))
@@ -80,23 +106,29 @@ def hook_lengths(lam) -> list[list[int]]:
     ]
 
 
-@cache
+def beta_set(lam: Partition) -> list[int]:
+    """Bead positions of ``lam``: row r (0-based) of an r-row shape carries the
+    bead lam[r] + rows-1-r (James & Kerber 1981, 2.7)."""
+    rows = len(lam)
+    return [part + rows - 1 - r for r, part in enumerate(lam)]
+
+
 def _dimension(lam: Partition) -> int:
-    # lam is already validated, by dimension() or, in full_spectrum, by enumerate_partitions
+    # lam is already validated, by dimension() or, in full_spectrum, by enumerate_partitions.
+    # Frobenius: f = n! prod_{i<j} (b_i - b_j) / prod_i b_i! over the strictly
+    # decreasing beta-set b (James & Kerber 1981, 2.7)
+    beads = beta_set(lam)
     n = sum(lam)
-    conj = _conjugate(lam)
-    denom = 1
-    for row, part in enumerate(lam):
-        for c in range(part):
-            denom *= part - c + conj[c] - row - 1  # the hook length of cell (row, c)
-    q, r = divmod(factorial(n), denom)
-    if r:  # the hook product always divides n!; anything else is a bug
-        raise ArithmeticError(f"hook product {denom} does not divide {n}!")
+    num = factorial(n) * prod(starmap(sub, combinations(beads, 2)))
+    den = prod(map(factorial, beads))
+    q, r = divmod(num, den)
+    if r:  # the bead factorials always divide; anything else is a bug
+        raise ArithmeticError(f"bead factorials {den} do not divide {num} for shape {lam}")
     return q
 
 
 def dimension(lam) -> int:
-    """Number of standard Young tableaux of shape ``lam``, by the hook length formula."""
+    """Number of standard Young tableaux of shape ``lam``, by Frobenius' beta-set formula."""
     return _dimension(validate_partition(lam))
 
 
@@ -146,13 +178,6 @@ class RimHook:
     @property
     def length(self) -> int:
         return len(self.cells)
-
-
-def beta_set(lam: Partition) -> list[int]:
-    """Bead positions of ``lam``: row r (0-based) of an r-row shape carries the
-    bead lam[r] + rows-1-r (James & Kerber 1981, 2.7)."""
-    rows = len(lam)
-    return [part + rows - 1 - r for r, part in enumerate(lam)]
 
 
 @cache

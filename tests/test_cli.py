@@ -150,6 +150,19 @@ def test_hypothesis_output(capsys):
     )
 
 
+def test_hypothesis_decides_a_huge_pair_at_once(capsys):
+    # k! and 4 k^(k+1) at k = 5e7 would be integers of hundreds of megabytes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hypothesis", "--n", "100000000", "--k", "50000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out == (
+        "in_main_theorem_range: false\n"
+        "unique_rimhook_range: false\n"
+        "sqrtkfact_bound_holds: false\n"
+    )
+
+
 def test_hypothesis_rejects_k_past_n_minus_2(capsys):
     code, out, err = run(capsys, "hypothesis", "--n", "10", "--k", "12")
     assert code == 2

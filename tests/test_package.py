@@ -138,8 +138,9 @@ def test_cli_defaults_match_the_numpy_routes():
 #: triggers each explicit invariant raise and prints the ones that fired; run
 #: under python -O, where an assert in their place would be stripped
 INVARIANTS_UNDER_O = """
-import sys
+import contextlib, io, sys
 import cayley_spectra.spectra as spectra
+from cayley_spectra.cli import main
 from cayley_spectra.errors import VerificationError
 from cayley_spectra.permutations import (
     Permutation, _neighbor_table, alternating_group, cayley_adjacency, enumerate_class_cycles
@@ -153,6 +154,23 @@ try:
     spectra.full_spectrum(6, 2)
 except ArithmeticError as exc:
     fired.append("trace identities" in str(exc))
+spectra._eigenvalue = peel
+
+def cli_fails_traces(name, wrong):
+    # a wrong f^lambda or a wrong conjugate sign must end in the trace identities,
+    # which the CLI reports as a verification failure (exit 1), not a traceback
+    right = getattr(spectra, name)
+    setattr(spectra, name, wrong(right))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["spectrum", "--n", "6", "--k", "2"])
+    setattr(spectra, name, right)
+    return code == 1 and err.getvalue().startswith(
+        "verification failure: spectrum of n = 6, k = 2 fails the trace identities"
+    )
+
+fired.append(cli_fails_traces("_dimension", lambda f: lambda lam: f(lam) + (lam == (4, 2))))
+fired.append(cli_fails_traces("_transpose_sign", lambda s: lambda n, k: -s(n, k)))
 try:
     _neighbor_table(alternating_group(5), [Permutation.from_cycles(5, [(1, 2)])])
 except VerificationError as exc:
@@ -170,7 +188,7 @@ print(sys.flags.optimize, fired)
 def test_invariants_fire_under_python_O(monkeypatch):
     monkeypatch.delenv("CAYLEY_SPECTRA_MAX_N", raising=False)
     out = run_python("-O", "-c", INVARIANTS_UNDER_O)
-    assert out.stdout == "1 [True, True, True]\n"
+    assert out.stdout == "1 [True, True, True, True, True]\n"
     usage_errors = {
         ("verify-recursive-5cycles", "--tol", "nan"): "error: need 0 < tol < 1, got tol = nan\n",
         ("char", "--partition", "1^995", "--type", "1^995"): "error: mn_character is capped at n <= 14 "

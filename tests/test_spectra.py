@@ -5,13 +5,15 @@ integers, and every identity asserted here is checked with ==, not approx.
 """
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, inf
 
 import pytest
 
+import cayley_spectra.spectra as spectra
 from cayley_spectra.errors import SizeLimitError
 from cayley_spectra.permutations import enumerate_class_cycles
 from cayley_spectra.spectra import (
@@ -32,7 +34,7 @@ from cayley_spectra.spectra import (
     spectrum_to_csv,
     spectrum_to_json,
 )
-from cayley_spectra.young import dimension, enumerate_partitions, transpose
+from cayley_spectra.young import dimension, enumerate_partitions, format_partition, transpose
 
 
 def test_class_size_formula():
@@ -110,6 +112,39 @@ def test_trace_and_second_moment():
             assert sum(e.multiplicity * e.eigenvalue**2 for e in entries) == factorial(
                 n
             ) * class_size(n, k)
+
+
+def test_every_row_matches_its_own_shape():
+    # full_spectrum pairs conjugates and skips shapes without a long enough
+    # hook; eigenvalue_for and dimension compute each shape on its own
+    for n in range(2, 15):
+        shapes = enumerate_partitions(n)
+        for k in range(n - 1):
+            values = {lam: eigenvalue_for(lam, n, k) for lam in shapes}
+            rows = [(e.partition, e.eigenvalue, e.multiplicity) for e in full_spectrum(n, k)]
+            in_order = sorted(shapes, key=lambda lam: -values[lam])  # stable, like full_spectrum
+            assert rows == [(lam, values[lam], dimension(lam) ** 2) for lam in in_order], (n, k)
+
+
+#: the grids of the benchmark's exact workloads: short cycles at n = 18..22,
+#: and k = 4..0 at n = 30..34
+EXACT_DEEP = [(n, n - d) for n in (18, 20, 22) for d in (2, 3, 5)]
+EXACT_WIDE = [(30, 4), (31, 3), (32, 2), (33, 1), (34, 0)]
+
+
+def spectrum_digest(grid):
+    h = hashlib.sha256()
+    for n, k in grid:
+        for e in full_spectrum(n, k, max_n=34):
+            h.update(f"{n} {k} {format_partition(e.partition)} {e.eigenvalue} {e.multiplicity}\n".encode())
+    return h.hexdigest()
+
+
+def test_full_spectrum_digests_on_the_benchmark_grids():
+    # any rewrite of full_spectrum must reproduce every row of both grids, in
+    # order, byte for byte
+    assert spectrum_digest(EXACT_DEEP) == "9e0e152e32ef245b92c682c55d577d2a47248a4ebae31c7c2d5a19ea58c24c11"
+    assert spectrum_digest(EXACT_WIDE) == "a7a50320d60a78fd37bd52609b0e3ea7aeff615cd0202d27b612fc33d390195a"
 
 
 def test_full_spectrum_rejects_a_wrong_eigenvalue(monkeypatch):
@@ -315,6 +350,46 @@ def test_hypothesis_sqrtkfact_matches_inequality():
         for k in range(n - 1):
             holds = factorial(k) * (n - 1) ** 2 <= 9 * comb(n, 3) ** 2
             assert hypothesis_check(n, k).sqrtkfact_bound_holds == holds
+
+
+def flags(n, k):
+    f = hypothesis_check(n, k)
+    return f.in_main_theorem_range, f.unique_rimhook_range, f.sqrtkfact_bound_holds
+
+
+def first_true(holds, lo, hi):
+    """Smallest n in [lo, hi] at which the monotone predicate holds, else hi + 1."""
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_hypothesis_logs_agree_with_exact_integers(monkeypatch):
+    fast = {(n, k): flags(n, k) for n in range(3, 401) for k in range(n - 1)}
+    monkeypatch.setattr(spectra, "LOG_MARGIN", inf)  # every comparison by exact integers
+    for k in range(399):
+        # both bounds grow with n, so each flips from false to true at most once
+        lo = max(3, k + 2)
+        first_in_range = first_true(lambda n: flags(n, k)[0], lo, 400)
+        first_sqrt = first_true(lambda n: flags(n, k)[2], lo, 400)
+        for n in range(lo, 401):
+            assert fast[(n, k)] == (n >= first_in_range, 3 * k + 1 < n, n >= first_sqrt), (n, k)
+
+
+def test_hypothesis_decides_huge_pairs_without_huge_integers():
+    # k past the float range: k! and k^k overflow their logarithms
+    assert flags(10**400, 10**399) == (False, True, False)
+    assert flags(10**400, 500) == (True, True, True)
+
+
+def test_log_comparison_falls_back_to_exact_inside_the_margin():
+    assert spectra._log_below(1.0, 2.0, exact=lambda: pytest.fail("decided by logarithms"))
+    assert not spectra._log_below(inf, 2.0, exact=lambda: pytest.fail("decided by logarithms"))
+    assert spectra._log_below(2.0, 2.0 + 1e-12, exact=lambda: "exact") == "exact"
 
 
 # --- conjecture sweep ----------------------------------------------------

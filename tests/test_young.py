@@ -1,18 +1,20 @@
 """Partitions, hooks, tableaux, rim hooks.
 
 The counting oracles here are deliberately independent of the library's
-formulas: partition counts are frozen from the classical p(n) sequence,
-dimensions are recounted by exhaustive tableau placement, and border-strip
-validity is rechecked with a breadth-first search over the cell set.
+formulas: partition counts are frozen from the classical p(n) sequence, the
+enumeration order is rebuilt by plain recursion, dimensions are recounted by
+hook products and by exhaustive tableau placement, and border-strip validity
+is rechecked with a breadth-first search over the cell set.
 """
 
 import itertools
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cayley_spectra.young as young
 from cayley_spectra.errors import SizeLimitError
 from cayley_spectra.young import (
     count_standard_tableaux,
@@ -51,6 +53,27 @@ def test_partition_enumeration_is_reverse_lex():
             assert all(a >= b for a, b in zip(lam, lam[1:]))
 
 
+def recursive_partitions(n):
+    """Reverse-lexicographic partitions of n by depth-first extension: the
+    largest next part first, never larger than the one before."""
+    out = []
+
+    def extend(prefix, remaining, max_part):
+        if remaining == 0:
+            out.append(prefix)
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            extend(prefix + (part,), remaining - part, part)
+
+    extend((), n, n)
+    return out
+
+
+def test_zs1_enumeration_matches_the_recursive_order():
+    for n in range(31):
+        assert enumerate_partitions(n) == recursive_partitions(n), n
+
+
 def test_enumerate_partitions_rejects_negative():
     with pytest.raises(ValueError):
         enumerate_partitions(-1)
@@ -83,9 +106,16 @@ def test_dimension_examples():
     assert dimension((3, 3)) == 5
 
 
+def test_dimension_against_hook_products():
+    # Frobenius' beta-set formula against the hook length formula
+    for n in range(23):
+        for lam in enumerate_partitions(n):
+            assert dimension(lam) * prod(itertools.chain(*hook_lengths(lam))) == factorial(n), lam
+
+
 def test_dimension_against_exhaustive_tableau_count():
-    # Two genuinely different routes: hook products vs backtracking placement.
-    for n in range(1, 10):
+    # Two genuinely different routes: bead products vs backtracking placement.
+    for n in range(1, 11):
         for lam in enumerate_partitions(n):
             assert dimension(lam) == count_standard_tableaux(lam), lam
 
@@ -98,6 +128,13 @@ def test_dimension_invariant_under_transpose(lam):
 def test_sum_of_squared_dimensions_is_group_order():
     for n in range(1, 13):
         assert sum(dimension(lam) ** 2 for lam in enumerate_partitions(n)) == factorial(n)
+
+
+def test_dimension_raises_when_the_bead_factorials_do_not_divide(monkeypatch):
+    # f(2,2) = 4! * (3-2) / (3! 2!) = 2; with 4! read as 25 the quotient is not an integer
+    monkeypatch.setattr(young, "factorial", lambda x: factorial(x) + (x == 4))
+    with pytest.raises(ArithmeticError, match="do not divide"):
+        dimension((2, 2))
 
 
 def test_tableau_count_cap():
