@@ -1,10 +1,10 @@
 """Character values of the symmetric group via the Murnaghan-Nakayama rule.
 
 Everything here is exact integer arithmetic.  The rule peels the cycles
-largest first, one cycle at a time, carrying every shape reached so far with
-its signed count, so its depth never grows with the number of cycles.  Each
-call recomputes its character; only the rim hooks of each (shape, length)
-are memoized, in :mod:`cayley_spectra.young`.
+largest first, one cycle at a time, carrying every bead set reached so far
+with its signed count, so its depth never grows with the number of cycles.
+A rim hook is a bead move (:func:`cayley_spectra.young._bead_moves`), and
+nothing is memoized: each call recomputes its character.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from .errors import SizeLimitError
 from .spectra import MAX_N_ENV_VAR, resolve_max_n
 from .young import (
     Partition,
-    _rim_hooks,
+    _bead_moves,
+    beta_set,
     enumerate_partitions,
     format_partition,
     validate_partition,
@@ -30,16 +31,18 @@ CHARACTER_TABLE_LIMIT = 10
 
 
 def _mn(lam: Partition, tau: CycleType) -> int:
-    # frontier: every shape left after peeling the cycles seen so far, with
-    # the signed number of ways to reach it
-    frontier = {lam: 1}
+    # frontier: the bead set of every shape left after peeling the cycles seen so
+    # far, with its signed count; a hook's leg is the beads passed by its move
+    frontier = {frozenset(beta_set(lam)): 1}
     for length in tau:
-        peeled: dict[Partition, int] = {}
-        for shape, count in frontier.items():
-            for hook, left in _rim_hooks(shape, length):
-                peeled[left] = peeled.get(left, 0) + (-count if hook.leg_length % 2 else count)
+        peeled: dict[frozenset[int], int] = {}
+        for beads, count in frontier.items():
+            for b, target in _bead_moves(beads, length):
+                left = beads - {b} | {target}
+                leg = sum(target < x < b for x in beads)
+                peeled[left] = peeled.get(left, 0) + (-count if leg % 2 else count)
         frontier = peeled
-    return frontier.get((), 0)
+    return frontier.get(frozenset(range(len(lam))), 0)  # the empty shape's beads
 
 
 def mn_character(lam, tau) -> int:
@@ -47,14 +50,19 @@ def mn_character(lam, tau) -> int:
     capped like :func:`~cayley_spectra.spectra.full_spectrum`."""
     lam = validate_partition(lam)
     tau = validate_partition(tau)
+    _check_cap(max(sum(lam), sum(tau)))  # first, so that the mismatch message stays short
     if sum(lam) != sum(tau):
         raise ValueError(f"size mismatch: |{lam}| = {sum(lam)} but |{tau}| = {sum(tau)}")
-    bound = resolve_max_n()
-    if sum(lam) > bound:
-        raise SizeLimitError(
-            f"mn_character is capped at n <= {bound} (override with {MAX_N_ENV_VAR}), got n = {sum(lam)}"
-        )
     return _mn(lam, tau)
+
+
+def _check_cap(n: int) -> None:
+    """The cap of :func:`mn_character`, also checked by the CLI before it expands any exponent."""
+    bound = resolve_max_n()
+    if n > bound:
+        raise SizeLimitError(
+            f"mn_character is capped at n <= {bound} (override with {MAX_N_ENV_VAR}), got n = {n}"
+        )
 
 
 def centralizer_order(tau) -> int:

@@ -12,10 +12,10 @@ from itertools import count
 from math import factorial
 
 from . import quotient, spectra
-from .characters import mn_character
+from .characters import _check_cap, mn_character
 from .errors import SizeLimitError, VerificationError
 from .spectra import DEFAULT_SEED, DEFAULT_TOL, DENSE_ORDER_LIMIT
-from .young import format_partition, parse_partition
+from .young import _parse_runs, format_partition, parse_partition
 
 # numpy, eigensolve and permutations are imported inside the two commands that
 # build arrays: every other command is exact integer work and starts faster
@@ -197,13 +197,15 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_char(args) -> int:
-    lam = parse_partition(args.partition)
-    tau = parse_partition(args.type)
-    print(mn_character(lam, tau))
+    # the cap, checked on the unexpanded text: 1^1000000000 is a short argument
+    for text in (args.partition, args.type):
+        _check_cap(sum(part * exponent for part, exponent in _parse_runs(text)))
+    print(mn_character(parse_partition(args.partition), parse_partition(args.type)))
     return 0
 
 
 def cmd_bruteforce(args) -> int:
+    spectra.class_size(args.n, args.k)  # the range check on (n, k), before any group is built
     if args.n > BRUTEFORCE_MAX_N:
         raise ValueError(f"brute force is capped at n <= {BRUTEFORCE_MAX_N}, got n = {args.n}")
     import numpy as np
@@ -272,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_nk(p, k_required=True):
+    def add_nk(p):
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, required=k_required)
+        p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("spectrum", help="full eigenvalue/multiplicity table")
     add_nk(p)

@@ -308,7 +308,7 @@ def filtration_operators(group: GroupSlice, cycles: list[Permutation]) -> list[C
     T_k = ``t_filtration(cycles, k)``.
 
     The level-0 connection is sorted stably by depth, deepest first, so every
-    T_k is a prefix of it and all levels share one neighbor table.
+    T_k is a prefix of it and all levels share its factor rows.
     """
     connection = sorted((t for t in cycles if group.contains(t)), key=_depth, reverse=True)
     full = cayley_adjacency(group, connection)

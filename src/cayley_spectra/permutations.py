@@ -412,22 +412,17 @@ def _factor_rows(
 
 
 def _compose(heads: np.ndarray, tails: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """One full row of ranks per pair of :func:`_factor_rows`."""
-    rows = np.empty((len(pairs), tails.shape[1]), dtype=tails.dtype)
-    for j, (head, tail) in enumerate(pairs.tolist()):
-        rows[j] = tails[tail] if head < 0 else np.take(heads[head], tails[tail])
-    return rows
-
-
-def _neighbor_table(slice_: GroupSlice, connection: list[Permutation]) -> np.ndarray:
-    """(len(connection), order); row j holds the rank of t_j * g for every member g,
-    composed from :func:`_factor_rows` as heads[head][tails[tail]].
+    """One full row of ranks per pair of :func:`_factor_rows`: row j holds the
+    rank of t_j * g for every member g, as heads[head][tails[tail]].
 
     Full rows are composed only for :meth:`CayleyOperator.dense` and the
     tests; the matvec applies the factors directly, and
     :meth:`CayleyOperator.neighbors` composes the ranks of one vertex.
     """
-    return _compose(*_factor_rows(slice_, connection))
+    rows = np.empty((len(pairs), tails.shape[1]), dtype=tails.dtype)
+    for j, (head, tail) in enumerate(pairs.tolist()):
+        rows[j] = tails[tail] if head < 0 else np.take(heads[head], tails[tail])
+    return rows
 
 
 class CayleyOperator:

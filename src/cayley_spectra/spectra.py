@@ -24,6 +24,7 @@ from typing import Callable
 from .errors import SizeLimitError
 from .young import (
     Partition,
+    _bead_moves,
     _conjugate,
     _dimension,
     beta_set,
@@ -95,10 +96,7 @@ def _eigenvalue(lam: Partition, m: int) -> int:
     dimensions from Frobenius' formula (James & Kerber 1981, 2.7)."""
     beads = beta_set(lam)
     num, den = 0, 1  # the running sum over i, as one fraction
-    for b in beads:
-        target = b - m
-        if target < 0 or target in beads:
-            continue
+    for b, target in _bead_moves(beads, m):
         term_num, term_den = prod(range(b, target, -1)), 1
         for other in beads:
             if other != b:

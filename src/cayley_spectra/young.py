@@ -1,7 +1,9 @@
 """Integer partitions, Young diagrams, hook lengths, dimensions, and rim hooks.
 
-Partitions come from the iterative ZS1 generator and dimensions from
-Frobenius' beta-set formula; both are computed afresh on every call.
+Partitions come from the iterative ZS1 generator, dimensions from
+Frobenius' beta-set formula, and rim hooks from one bead rule on the abacus,
+:func:`_bead_moves`, which the character and eigenvalue routines share.
+Everything is computed afresh on every call; nothing is memoized.
 
 Diagram coordinates are 1-based ``(row, column)`` pairs in the English
 convention: row 1 is the longest row and sits on top.
@@ -12,7 +14,6 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations, starmap
 from math import factorial, prod
 from operator import sub
@@ -180,36 +181,15 @@ class RimHook:
         return len(self.cells)
 
 
-@cache
-def _rim_hooks(lam: Partition, length: int) -> tuple[tuple[RimHook, Partition], ...]:
-    # Beta-set rule: a rim hook of this length is a bead moved onto an empty
-    # position `length` lower; the beads strictly between the two positions
-    # are the rows below the top one that the hook reaches into.  Each hook
-    # comes with the partition left after removing it.
-    rows = len(lam)
-    beads = beta_set(lam)
-    occupied = set(beads)
-    found: list[tuple[RimHook, Partition]] = []
-    # bottom row first: a lower top row leaves a lexicographically larger leftover
-    for top in reversed(range(rows)):
-        target = beads[top] - length
-        if target < 0 or target in occupied:
-            continue
-        leg = sum(1 for b in beads[top + 1:] if b > target)
-        bottom = top + leg
-        # leftover row lengths: each spanned row but the last drops to the
-        # length of the row below minus one
-        left = [lam[r + 1] - 1 for r in range(top, bottom)] + [target - (rows - 1 - bottom)]
-        # southwest-most first: bottom row upward, left to right within a row
-        cells = tuple(
-            (r + 1, c + 1)
-            for r in range(bottom, top - 1, -1)
-            for c in range(left[r - top], lam[r])
-        )
-        # a partition's zero parts can only trail, so dropping them all is safe
-        rest = tuple(p for p in lam[:top] + tuple(left) + lam[bottom + 1:] if p)
-        found.append((RimHook(cells=cells, leg_length=leg), rest))
-    return tuple(found)
+def _bead_moves(beads, length: int) -> Iterator[tuple[int, int]]:
+    """Each rim hook of this length as a bead move (b, b - length): bead b moves
+    to a free, non-negative position (James & Kerber 1981, 2.7).  ``beads`` is
+    any collection of bead positions; a long one should be a set, since every
+    candidate target is looked up in it."""
+    for b in beads:
+        target = b - length
+        if target >= 0 and target not in beads:
+            yield b, target
 
 
 def enumerate_rim_hooks(lam, length: int) -> tuple[RimHook, ...]:
@@ -222,39 +202,59 @@ def enumerate_rim_hooks(lam, length: int) -> tuple[RimHook, ...]:
     lam = validate_partition(lam)
     if length < 1:
         raise ValueError("a rim hook has length at least 1")
-    return tuple(hook for hook, _ in _rim_hooks(lam, length))
+    rows = len(lam)
+    beads = beta_set(lam)
+    hooks = []
+    # bottom row first: a lower top row leaves a lexicographically larger leftover
+    for b, target in _bead_moves(beads[::-1], length):
+        moved = sorted([x for x in beads if x != b] + [target], reverse=True)
+        # each row past its leftover length, bottom row up, left to right within a row
+        cells = tuple(
+            (r + 1, c + 1)
+            for r in reversed(range(rows))
+            for c in range(moved[r] - (rows - 1 - r), lam[r])
+        )
+        hooks.append(RimHook(cells=cells, leg_length=len({r for r, _ in cells}) - 1))
+    return tuple(hooks)
 
 
 def remove_rim_hook(lam, hook: RimHook) -> Partition:
     """Partition left after removing ``hook``; rejects hooks not on the border of ``lam``."""
     lam = validate_partition(lam)
-    for candidate, rest in _rim_hooks(lam, hook.length):
-        if candidate == hook:
-            return rest
-    raise ValueError(f"{hook} is not a rim hook of {lam}")
+    if hook not in enumerate_rim_hooks(lam, hook.length):
+        raise ValueError(f"{hook} is not a rim hook of {lam}")
+    rest = list(lam)
+    for r, _ in hook.cells:
+        rest[r - 1] -= 1
+    # a partition's zero parts can only trail, so dropping them all is safe
+    return tuple(p for p in rest if p)
 
 
 _PART_TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
-def parse_partition(text: str) -> Partition:
-    """Parse "5,1" or the exponent shorthand "2,1^4" (surrounding [] allowed)."""
+def _parse_runs(text: str) -> list[tuple[int, int]]:
+    """The (part, exponent) pairs of "2,1^4"-style text, not yet expanded."""
     s = text.strip()
     if s.startswith("[") and s.endswith("]"):
         s = s[1:-1].strip()
     if not s:
         raise ValueError(f"empty partition string: {text!r}")
-    parts: list[int] = []
+    runs = []
     for token in s.split(","):
         m = _PART_TOKEN.match(token.strip())
         if not m:
             raise ValueError(f"bad partition token {token!r} in {text!r}")
-        part = int(m.group(1))
-        exponent = int(m.group(2)) if m.group(2) else 1
-        if exponent < 1:
+        part, exponent = int(m.group(1)), int(m.group(2) or 1)
+        if part < 1 or exponent < 1:  # so that part * exponent bounds the expansion
             raise ValueError(f"bad partition token {token!r} in {text!r}")
-        parts.extend([part] * exponent)
-    return validate_partition(parts)
+        runs.append((part, exponent))
+    return runs
+
+
+def parse_partition(text: str) -> Partition:
+    """Parse "5,1" or the exponent shorthand "2,1^4" (surrounding [] allowed)."""
+    return validate_partition([part for part, exponent in _parse_runs(text) for _ in range(exponent)])
 
 
 def format_partition(lam) -> str:

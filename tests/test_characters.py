@@ -101,7 +101,7 @@ def test_mn_character_size_cap(monkeypatch):
 
 
 def test_agrees_with_opposite_peeling_order():
-    for n in range(1, 9):
+    for n in range(1, 11):
         types = enumerate_partitions(n)
         for lam in enumerate_partitions(n):
             for tau in types:

@@ -5,6 +5,9 @@ import dataclasses
 import functools
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -13,6 +16,8 @@ import pytest
 
 from cayley_spectra import cli, eigensolve, spectra
 from cayley_spectra.cli import main
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 
 def run(capsys, *argv):
@@ -49,6 +54,44 @@ def test_char_size_cap(capsys, monkeypatch, shape, cycle_type):
     assert code == 2
     assert out == ""
     assert err.startswith("error: mn_character is capped at n <= 14") and err.count("\n") == 1
+
+
+def test_char_rejects_a_huge_exponent_with_a_short_line(capsys, monkeypatch):
+    # the size mismatch used to print both 30-million-part tuples: 90 MB of stderr
+    monkeypatch.delenv("CAYLEY_SPECTRA_MAX_N", raising=False)
+    code, out, err = run(capsys, "char", "--partition", "1^30000000", "--type", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: mn_character is capped at n <= 14 (override with CAYLEY_SPECTRA_MAX_N), "
+        "got n = 30000000\n"
+    )
+
+
+def _limit_address_space():
+    # 1 GB: far below the 8 GB that 1^1000000000 would take if it were expanded
+    resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ("1^1000000000", "mn_character is capped at n <= 14 (override with CAYLEY_SPECTRA_MAX_N), got n = 1000000000"),
+        ("0^1000000000", "bad partition token '0^1000000000' in '0^1000000000'"),
+    ],
+    ids=["unit-parts", "zero-parts"],
+)
+def test_char_rejects_an_exponent_too_large_for_memory(shape, message):
+    # in a child with a small address space, so that expanding the exponent
+    # fails there instead of exhausting the host
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("CAYLEY_SPECTRA_MAX_N", None)
+    start = time.perf_counter()
+    cli = subprocess.run(
+        [sys.executable, "-m", "cayley_spectra.cli", "char", "--partition", shape, "--type", "1"],
+        env=env, capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert (cli.returncode, cli.stdout, cli.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_spectrum_json(capsys):
@@ -188,6 +231,14 @@ def test_bruteforce_cap(capsys):
     assert code == 2
     assert out == ""
     assert "n <= 6" in err
+
+
+@pytest.mark.parametrize("n, k", [("3", "2"), ("0", "0"), ("7", "9")])
+def test_bruteforce_names_k_out_of_range(capsys, n, k):
+    # the cycle length n - k used to be reported as m, or as a bad degree
+    code, out, err = run(capsys, "bruteforce", "--n", n, "--k", k)
+    assert (code, out) == (2, "")
+    assert err == f"error: need 0 <= k <= n-2, got n = {n}, k = {k}\n"
 
 
 def test_usage_error_bad_k(capsys):

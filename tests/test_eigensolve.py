@@ -22,7 +22,7 @@ from cayley_spectra.eigensolve import (
 from cayley_spectra.errors import SizeLimitError, VerificationError
 from cayley_spectra.permutations import (
     _compose,
-    _neighbor_table,
+    _factor_rows,
     alternating_group,
     cayley_adjacency,
     enumerate_class_cycles,
@@ -217,7 +217,7 @@ def test_recursive_check_names_an_integer_mismatch(monkeypatch):
 def test_alt8_levels_match_the_composed_table():
     group = alternating_group(8)
     operators = filtration_operators(group, enumerate_class_cycles(8, 5))
-    table = _neighbor_table(group, operators[0].connection)
+    table = _compose(*_factor_rows(group, operators[0].connection))
     x = np.random.default_rng(5).standard_normal(group.order)
     expected = np.zeros(group.order)
     done = 0

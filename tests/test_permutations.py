@@ -18,8 +18,9 @@ from cayley_spectra.permutations import (
     CayleyOperator,
     GroupSlice,
     Permutation,
+    _compose,
+    _factor_rows,
     _member_matrix,
-    _neighbor_table,
     _RankLookup,
     alternating_group,
     cayley_adjacency,
@@ -398,7 +399,7 @@ def test_neighbor_table_matches_searchsorted_oracle(slice_):
     # one composes with every vertex, so each row checks every rank)
     step = max(1, len(members) // 97)
     connection = members[::step] + members[-1:]
-    table = _neighbor_table(slice_, connection)
+    table = _compose(*_factor_rows(slice_, connection))
     assert table.dtype == (np.uint8 if slice_.order <= 256 else np.uint16)
     assert np.array_equal(table, searchsorted_table(slice_, connection))
 
@@ -425,7 +426,7 @@ def test_composed_neighbor_rows_match_searchsorted_oracle(slice_, cycle_type):
     connection = _of_type(slice_, cycle_type, 60)
     assert connection
     assert np.array_equal(
-        _neighbor_table(slice_, connection), searchsorted_table(slice_, connection)
+        _compose(*_factor_rows(slice_, connection)), searchsorted_table(slice_, connection)
     )
 
 
@@ -436,7 +437,7 @@ def test_alt8_5cycle_table_equals_the_row_by_row_lookup():
     expected = np.empty((len(connection), a8.order), dtype=np.uint16)
     for j, t in enumerate(connection):
         expected[j] = lookup.ranks(np.array(t.images, dtype=np.intp) - 1)
-    table = _neighbor_table(a8, connection)
+    table = _compose(*_factor_rows(a8, connection))
     assert table.dtype == np.uint16
     assert np.array_equal(table, expected)
 
@@ -444,7 +445,7 @@ def test_alt8_5cycle_table_equals_the_row_by_row_lookup():
 def test_neighbor_table_widens_past_uint16():
     a9 = alternating_group(9)  # 181440 vertices: ranks need more than 16 bits
     connection = [Permutation.from_cycles(9, [(1, 2, 3)]), Permutation.from_cycles(9, [(9, 4, 6)])]
-    table = _neighbor_table(a9, connection)
+    table = _compose(*_factor_rows(a9, connection))
     assert table.dtype == np.uint32
     assert np.array_equal(table, searchsorted_table(a9, connection))
 
@@ -452,7 +453,7 @@ def test_neighbor_table_widens_past_uint16():
 def test_neighbor_table_rejects_an_element_outside_the_slice():
     odd = Permutation.from_cycles(5, [(1, 2)])
     with pytest.raises(VerificationError, match="does not stabilize"):
-        _neighbor_table(alternating_group(5), [Permutation.identity(5), odd])
+        _compose(*_factor_rows(alternating_group(5), [Permutation.identity(5), odd]))
 
 
 # --- the factored matvec against the dense matrix -------------------------
