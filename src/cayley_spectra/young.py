@@ -31,11 +31,22 @@ def validate_partition(parts) -> Partition:
     """Normalize to a tuple; parts must be positive and non-increasing."""
     lam = tuple(int(p) for p in parts)
     for i, p in enumerate(lam):
+        # name the first bad part, not the whole tuple, which may be huge
         if p < 1:
-            raise ValueError(f"partition parts must be positive integers, got {lam}")
+            raise ValueError(
+                f"partition parts must be positive integers, got {_clip(str(p))} at index {i}"
+            )
         if i and lam[i - 1] < p:
-            raise ValueError(f"partition parts must be non-increasing, got {lam}")
+            raise ValueError(
+                "partition parts must be non-increasing, got "
+                f"{_clip(str(p))} after {_clip(str(lam[i - 1]))} at index {i}"
+            )
     return lam
+
+
+def _clip(text: str, limit: int = 20) -> str:
+    """``text`` cut to its first ``limit`` characters, marked with "..." when cut."""
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 def _partitions(n: int) -> Iterator[Partition]:
@@ -239,15 +250,16 @@ def _parse_runs(text: str) -> list[tuple[int, int]]:
     if s.startswith("[") and s.endswith("]"):
         s = s[1:-1].strip()
     if not s:
-        raise ValueError(f"empty partition string: {text!r}")
+        raise ValueError("empty partition string")
     runs = []
-    for token in s.split(","):
-        m = _PART_TOKEN.match(token.strip())
+    for position, token in enumerate(s.split(","), start=1):
+        token = token.strip()
+        m = _PART_TOKEN.match(token)
         if not m:
-            raise ValueError(f"bad partition token {token!r} in {text!r}")
+            raise ValueError(f"bad partition token {_clip(token)!r} at position {position}")
         part, exponent = int(m.group(1)), int(m.group(2) or 1)
         if part < 1 or exponent < 1:  # so that part * exponent bounds the expansion
-            raise ValueError(f"bad partition token {token!r} in {text!r}")
+            raise ValueError(f"bad partition token {_clip(token)!r} at position {position}")
         runs.append((part, exponent))
     return runs
 

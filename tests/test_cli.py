@@ -67,6 +67,26 @@ def test_char_rejects_a_huge_exponent_with_a_short_line(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ("1," * 60000 + "x", "error: bad partition token 'x' at position 60001\n"),
+        (
+            "1," * 60000 + "2",
+            "error: partition parts must be non-increasing, got 2 after 1 at index 60000\n",
+        ),
+        ("3," + "x" * 10000, "error: bad partition token 'xxxxxxxxxxxxxxxxxxxx...' at position 2\n"),
+    ],
+    ids=["bad-token", "increasing", "long-token"],
+)
+def test_char_partition_errors_name_the_bad_part_only(capsys, monkeypatch, shape, message):
+    # these messages used to echo the whole argument or its tuple, 120,000 bytes for the first
+    monkeypatch.setenv("CAYLEY_SPECTRA_MAX_N", "100000")
+    code, out, err = run(capsys, "char", "--partition", shape, "--type", "1")
+    assert (code, out, err) == (2, "", message)
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
 def _limit_address_space():
     # 1 GB: far below the 8 GB that 1^1000000000 would take if it were expanded
     resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
@@ -76,7 +96,7 @@ def _limit_address_space():
     "shape, message",
     [
         ("1^1000000000", "mn_character is capped at n <= 14 (override with CAYLEY_SPECTRA_MAX_N), got n = 1000000000"),
-        ("0^1000000000", "bad partition token '0^1000000000' in '0^1000000000'"),
+        ("0^1000000000", "bad partition token '0^1000000000' at position 1"),
     ],
     ids=["unit-parts", "zero-parts"],
 )

@@ -23,6 +23,7 @@ from cayley_spectra.errors import SizeLimitError, VerificationError
 from cayley_spectra.permutations import (
     _compose,
     _factor_rows,
+    _split,
     alternating_group,
     cayley_adjacency,
     enumerate_class_cycles,
@@ -243,3 +244,44 @@ def test_alt8_levels_gather_each_factor_once(monkeypatch):
         gathers.append(len(calls))
     # one gather per distinct head and tail; one per element would be 1344, 840, 480, 240, 96
     assert gathers == [174, 112, 112, 92, 56]
+
+
+def test_alt8_levels_share_one_partner_sum_per_support():
+    group = alternating_group(8)
+    operators = filtration_operators(group, enumerate_class_cycles(8, 5))
+    sums, adds = [], []
+    for op in operators:
+        _, _, pairs = op._factor_rows()
+        tail_cycles = {}
+        for t, (_, tail) in zip(op.connection, pairs.tolist()):
+            tail_cycles[tail] = _split(t.cycles())[1]
+        _, groups = op._grouping()
+        sums.append(len(groups))
+        adds.append(sum(len(slots) - 1 for slots, _ in groups))
+        # groups in order of their first tail, tails ascending inside a group
+        assert [tails[0] for _, tails in groups] == sorted(tails[0] for _, tails in groups)
+        assert [tail for _, tails in groups for tail in tails] == sorted(tail_cycles)
+        for _, tails in groups:
+            # exactly the two orientations (c d e) and (c e d) of one support
+            assert len(tails) == 2
+            (first,), (second,) = (tail_cycles[tail] for tail in tails)
+            assert len(first) == 3 and first != second and set(first) == set(second)
+    # one partner sum per tail would be 70, 70, 70, 50, 26 sums and 1274, 770, 410, 190, 70 adds
+    assert sums == [35, 35, 35, 25, 13]
+    assert adds == [637, 385, 205, 95, 35]
+
+
+def test_alt8_matvec_equals_a_per_tail_loop_bit_for_bit():
+    group = alternating_group(8)
+    operators = filtration_operators(group, enumerate_class_cycles(8, 5))
+    x = np.random.default_rng(11).standard_normal(group.order)
+    for op in operators:
+        heads, tails, pairs = op._factor_rows()
+        expected = np.zeros(group.order)
+        for tail in sorted(set(pairs[:, 1].tolist())):
+            v = np.zeros(group.order)
+            for head, other in pairs.tolist():
+                if other == tail:
+                    v += x if head < 0 else x[heads[head]]
+            expected += v[tails[tail]]
+        assert np.array_equal(op.matvec(x), expected)
