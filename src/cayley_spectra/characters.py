@@ -9,8 +9,6 @@ nothing is memoized: each call recomputes its character.
 
 from __future__ import annotations
 
-import csv
-import io
 from math import factorial
 
 from .errors import SizeLimitError
@@ -18,6 +16,7 @@ from .spectra import MAX_N_ENV_VAR, resolve_max_n
 from .young import (
     Partition,
     _bead_moves,
+    _clip,
     beta_set,
     enumerate_partitions,
     format_partition,
@@ -52,7 +51,9 @@ def mn_character(lam, tau) -> int:
     tau = validate_partition(tau)
     _check_cap(max(sum(lam), sum(tau)))  # first, so that the mismatch message stays short
     if sum(lam) != sum(tau):
-        raise ValueError(f"size mismatch: |{lam}| = {sum(lam)} but |{tau}| = {sum(tau)}")
+        raise ValueError(
+            f"size mismatch: |{_clip(str(lam))}| = {sum(lam)} but |{_clip(str(tau))}| = {sum(tau)}"
+        )
     return _mn(lam, tau)
 
 
@@ -60,8 +61,12 @@ def _check_cap(n: int) -> None:
     """The cap of :func:`mn_character`, also checked by the CLI before it expands any exponent."""
     bound = resolve_max_n()
     if n > bound:
+        try:
+            shown = _clip(str(n))
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            shown = f"a {n.bit_length()}-bit integer"
         raise SizeLimitError(
-            f"mn_character is capped at n <= {bound} (override with {MAX_N_ENV_VAR}), got n = {n}"
+            f"mn_character is capped at n <= {bound} (override with {MAX_N_ENV_VAR}), got n = {shown}"
         )
 
 
@@ -105,6 +110,9 @@ def character_table(n: int) -> list[list[int]]:
 def character_table_csv(n: int) -> str:
     """CSV export of :func:`character_table`: one header row of cycle types,
     then one row per shape."""
+    import csv
+    import io
+
     shapes = enumerate_partitions(n)
     table = character_table(n)
     buf = io.StringIO()

@@ -8,9 +8,8 @@ that symbolic form exactly — nothing here touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SizeLimitError
 from .spectra import class_size
@@ -22,8 +21,7 @@ if TYPE_CHECKING:
 EQUITABLE_VERIFY_LIMIT = 5040
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
+class QuotientMatrix(NamedTuple):
     order: int
     diagonal: int
     off_diagonal: int

@@ -12,19 +12,17 @@ eigenvalue is impossible here and is surfaced as a hard failure.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, inf, lgamma, log, prod
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import SizeLimitError
 from .young import (
     Partition,
     _bead_moves,
+    _clip,
     _conjugate,
     _dimension,
     beta_set,
@@ -70,7 +68,7 @@ def resolve_max_n(explicit: int | None = None) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise ValueError(f"{MAX_N_ENV_VAR} must be an integer, got {env!r}") from exc
+            raise ValueError(f"{MAX_N_ENV_VAR} must be an integer, got {_clip(env)!r}") from exc
     return DEFAULT_MAX_N
 
 
@@ -109,8 +107,9 @@ def _eigenvalue(lam: Partition, m: int) -> int:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class SpectrumEntry:
+# The records are named tuples, not dataclasses: dataclasses would import
+# inspect, dis, ast and tokenize into every command's start.
+class SpectrumEntry(NamedTuple):
     partition: Partition
     eigenvalue: int
     multiplicity: int
@@ -161,8 +160,7 @@ def full_spectrum(n: int, k: int, max_n: int | None = None) -> list[SpectrumEntr
     return entries
 
 
-@dataclass(frozen=True)
-class Lambda2:
+class Lambda2(NamedTuple):
     value: int
     witnesses: tuple[Partition, ...]
 
@@ -197,8 +195,7 @@ def _binom(a: int, b: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class _ShapeRule:
+class _ShapeRule(NamedTuple):
     shape_id: str
     min_n: int
     build: Callable[[int], Partition]
@@ -289,8 +286,7 @@ def low_dimension_partitions(n: int) -> list[Partition]:
 # ---------------------------------------------------------------------------
 # predicate checks and the lambda2 = (k-1)/(n-1) * valency sweep
 
-@dataclass(frozen=True)
-class HypothesisFlags:
+class HypothesisFlags(NamedTuple):
     in_main_theorem_range: bool
     unique_rimhook_range: bool
     sqrtkfact_bound_holds: bool
@@ -359,8 +355,7 @@ def _below_e_power(a: int, b: int, p: int) -> bool:
             return False
 
 
-@dataclass(frozen=True)
-class ConjectureRecord:
+class ConjectureRecord(NamedTuple):
     n: int
     k: int
     expected: int
@@ -426,6 +421,9 @@ def spectrum_to_json(n: int, k: int, entries: list[SpectrumEntry]) -> str:
 
 
 def spectrum_to_csv(entries: list[SpectrumEntry]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["partition", "eigenvalue", "multiplicity"])

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import combinations, starmap
 from math import factorial, prod
 from operator import sub
+from typing import NamedTuple
 
 from .errors import SizeLimitError
 
@@ -176,8 +176,7 @@ def count_standard_tableaux(lam) -> int:
     return place(1)
 
 
-@dataclass(frozen=True)
-class RimHook:
+class RimHook(NamedTuple):
     """A border strip: an edge-connected skew diagram containing no 2x2 block.
 
     ``cells`` are ordered from the southwest-most cell; each step moves one

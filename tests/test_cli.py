@@ -1,7 +1,6 @@
 """Command-line behavior: exact output lines, formats, exit codes."""
 
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -83,6 +82,49 @@ def test_char_partition_errors_name_the_bad_part_only(capsys, monkeypatch, shape
     # these messages used to echo the whole argument or its tuple, 120,000 bytes for the first
     monkeypatch.setenv("CAYLEY_SPECTRA_MAX_N", "100000")
     code, out, err = run(capsys, "char", "--partition", shape, "--type", "1")
+    assert (code, out, err) == (2, "", message)
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "env, argv, message",
+    [
+        (
+            None,
+            ("char", "--partition", NINES, "--type", "1"),
+            "error: mn_character is capped at n <= 14 (override with CAYLEY_SPECTRA_MAX_N), "
+            "got n = 99999999999999999999...\n",
+        ),
+        (
+            None,
+            ("char", "--partition", f"{NINES}^{NINES}", "--type", "1"),
+            "error: mn_character is capped at n <= 14 (override with CAYLEY_SPECTRA_MAX_N), "
+            "got n = a 26576-bit integer\n",
+        ),
+        (
+            "100000",
+            ("char", "--partition", "1^5000", "--type", "1^4999"),
+            "error: size mismatch: |(1, 1, 1, 1, 1, 1, 1...| = 5000 but |(1, 1, 1, 1, 1, 1, 1...| = 4999\n",
+        ),
+        (
+            "x" * 100000,
+            ("lambda2", "--n", "5", "--k", "1"),
+            "error: CAYLEY_SPECTRA_MAX_N must be an integer, got 'xxxxxxxxxxxxxxxxxxxx...'\n",
+        ),
+    ],
+    ids=["cap-4000-digits", "cap-past-the-digit-limit", "size-mismatch", "non-integer-max-n"],
+)
+def test_size_errors_clip_what_they_echo(capsys, monkeypatch, env, argv, message):
+    # these messages used to echo the whole size, both tuples or the whole variable:
+    # 4,088 bytes for the first and 100,055 for the last
+    if env is None:
+        monkeypatch.delenv("CAYLEY_SPECTRA_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("CAYLEY_SPECTRA_MAX_N", env)
+    code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", message)
     assert err.count("\n") == 1 and len(err.encode()) < 200
 
@@ -193,7 +235,7 @@ def test_table1_prints_a_fraction_outside_the_regime(capsys):
 
 def test_table1_fails_on_a_fraction_inside_the_regime(capsys, monkeypatch):
     rule = spectra.TABLE1_SHAPES["n-1,1"]
-    halved = dataclasses.replace(rule, ratio=lambda n, k: Fraction(1, 2 * spectra.class_size(n, k)))
+    halved = rule._replace(ratio=lambda n, k: Fraction(1, 2 * spectra.class_size(n, k)))
     monkeypatch.setitem(spectra.TABLE1_SHAPES, "n-1,1", halved)
     code, out, err = run(capsys, "table1", "--n", "8", "--k", "1")
     assert (code, out) == (1, "")

@@ -5,7 +5,10 @@ import ast
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
+
+import pytest
 
 import cayley_spectra
 
@@ -65,16 +68,27 @@ def import_time_imports(tree):
             yield from import_time_imports(node)
 
 
-def test_exact_modules_import_no_array_module():
-    # numpy costs every fresh interpreter about 0.1 s; only the array routes may load it
-    found = [
+def exact_imports_of(banned_modules):
+    """``file:line module`` of each import-time import of a banned module (or a
+    submodule of one) in the exact modules."""
+    return [
         f"{name}.py:{line} {module}"
         for name in EXACT_MODULES
         for line, modules in import_time_imports(ast.parse((PACKAGE_DIR / f"{name}.py").read_text()))
         for module in modules
-        if any(module == banned or module.startswith(banned + ".") for banned in ARRAY_MODULES)
+        if any(module == banned or module.startswith(banned + ".") for banned in banned_modules)
     ]
-    assert found == []
+
+
+def test_exact_modules_import_no_array_module():
+    # numpy costs every fresh interpreter about 0.1 s; only the array routes may load it
+    assert exact_imports_of(ARRAY_MODULES) == []
+
+
+def test_exact_modules_defer_dataclasses_and_csv():
+    # dataclasses brings inspect, dis, ast and tokenize, about 12 ms of every
+    # command's start; csv serves only the csv formats, which import it themselves
+    assert exact_imports_of(("dataclasses", "csv")) == []
 
 
 def run_python(*args, check=True):
@@ -88,6 +102,52 @@ def run_python(*args, check=True):
 def test_cli_import_leaves_scipy_unloaded():
     out = run_python("-c", "import cayley_spectra.cli, sys; print('scipy' in sys.modules)")
     assert out.stdout == "False\n"
+
+
+def test_cli_import_leaves_dataclasses_inspect_and_csv_unloaded():
+    out = run_python(
+        "-c",
+        "import cayley_spectra.cli, sys; "
+        "print([m for m in ('dataclasses', 'inspect', 'csv') if m in sys.modules])",
+    )
+    assert out.stdout == "[]\n"
+
+
+#: each exact record: module, name, field order, one instance's values and the
+#: repr that instance had when the records were frozen dataclasses
+RECORDS = [
+    ("young", "RimHook", ("cells", "leg_length"), (((2, 1), (1, 1)), 1),
+     "RimHook(cells=((2, 1), (1, 1)), leg_length=1)"),
+    ("spectra", "SpectrumEntry", ("partition", "eigenvalue", "multiplicity"), ((3, 1), 1, 9),
+     "SpectrumEntry(partition=(3, 1), eigenvalue=1, multiplicity=9)"),
+    ("spectra", "Lambda2", ("value", "witnesses"), (6, ((4, 1),)),
+     "Lambda2(value=6, witnesses=((4, 1),))"),
+    ("spectra", "_ShapeRule", ("shape_id", "min_n", "build", "ratio"), ("n", 1, len, abs),
+     "_ShapeRule(shape_id='n', min_n=1, build=<built-in function len>, ratio=<built-in function abs>)"),
+    ("spectra", "HypothesisFlags",
+     ("in_main_theorem_range", "unique_rimhook_range", "sqrtkfact_bound_holds"), (True, False, True),
+     "HypothesisFlags(in_main_theorem_range=True, unique_rimhook_range=False, sqrtkfact_bound_holds=True)"),
+    ("spectra", "ConjectureRecord",
+     ("n", "k", "expected", "value", "witnesses", "value_matches", "witness_found"),
+     (5, 2, 6, 6, ((4, 1),), True, True),
+     "ConjectureRecord(n=5, k=2, expected=6, value=6, witnesses=((4, 1),), value_matches=True, witness_found=True)"),
+    ("quotient", "QuotientMatrix", ("order", "diagonal", "off_diagonal", "provenance"), (3, 0, 1, "p"),
+     "QuotientMatrix(order=3, diagonal=0, off_diagonal=1, provenance='p')"),
+]
+
+
+@pytest.mark.parametrize("module, name, fields, values, text", RECORDS, ids=[r[1] for r in RECORDS])
+def test_exact_records_keep_fields_repr_and_immutability(module, name, fields, values, text):
+    cls = getattr(import_module(f"cayley_spectra.{module}"), name)
+    record = cls(*values)
+    assert cls._fields == fields
+    assert repr(record) == text
+    assert record == cls(**dict(zip(fields, values)))
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None  # no __dict__ to take a new attribute
 
 
 #: runs CLI commands in one fresh interpreter and prints whether numpy was loaded after each group
