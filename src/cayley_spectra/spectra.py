@@ -60,15 +60,18 @@ def class_size(n: int, k: int) -> int:
 
 def resolve_max_n(explicit: int | None = None) -> int:
     """Size bound for full-spectrum enumeration: explicit argument, else the
-    CAYLEY_SPECTRA_MAX_N environment variable, else 14."""
+    CAYLEY_SPECTRA_MAX_N environment variable (an integer of at least 1), else 14."""
     if explicit is not None:
         return explicit
     env = os.environ.get(MAX_N_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
+            bound = int(env)
         except ValueError as exc:
             raise ValueError(f"{MAX_N_ENV_VAR} must be an integer, got {_clip(env)!r}") from exc
+        if bound < 1:  # no spectrum lies below n = 1, and the cap messages echo the bound
+            raise ValueError(f"{MAX_N_ENV_VAR} must be at least 1, got {_clip(env)!r}")
+        return bound
     return DEFAULT_MAX_N
 
 
@@ -115,6 +118,47 @@ class SpectrumEntry(NamedTuple):
     multiplicity: int
 
 
+class _ShapeTable:
+    """The half of full_spectrum at one n that does not depend on k: the shapes
+    in ZS1 order, each conjugate pair {lam, lam'} as the indices (i, j) of its
+    first and second shape in that order (i == j when lam is self-conjugate),
+    and one (f^lam)^2 per pair.  Built whole by the constructor."""
+
+    def __init__(self, n: int):
+        from array import array  # here, like csv: what builds no table (the numpy routes) never loads it
+
+        # enumerate_partitions yields valid shapes only, so neither call below revalidates
+        shapes = enumerate_partitions(n)
+        index = {lam: i for i, lam in enumerate(shapes)}
+        seen = bytearray(len(shapes))  # set at the second shape of each pair
+        pairs = array("l")  # i0, j0, i1, j1, ...
+        squares = []
+        for i, lam in enumerate(shapes):
+            if seen[i]:
+                continue
+            j = index[_conjugate(lam)]
+            seen[j] = 1
+            pairs.extend((i, j))
+            squares.append(_dimension(lam) ** 2)
+        self.n, self.shapes, self.pairs, self.squares = n, shapes, pairs, squares
+
+
+#: the shape table of the last n that full_spectrum ran at; see _shape_table
+_last_table: _ShapeTable | None = None
+
+
+def _shape_table(n: int) -> _ShapeTable:
+    """The shape table at n: the one kept from the last call if it is at n, else
+    a new one that replaces it.  A sweep over k at one n thus builds one table,
+    and at most one table is alive at any time."""
+    global _last_table
+    table = _last_table
+    if table is None or table.n != n:
+        table = _last_table = None  # drop the old table before the new one is built
+        table = _last_table = _ShapeTable(n)  # published only once whole
+    return table
+
+
 def full_spectrum(n: int, k: int, max_n: int | None = None) -> list[SpectrumEntry]:
     """Entire spectrum of Cay(Sym(n), C(n,k)), one entry per shape, sorted by
     eigenvalue descending (ties broken by shape enumeration order).
@@ -122,7 +166,9 @@ def full_spectrum(n: int, k: int, max_n: int | None = None) -> list[SpectrumEntr
     One pass per conjugate pair {lam, lam'}: f^lam' = f^lam, and chi^lam' is
     chi^lam times the sign (-1)^(m-1) of an m-cycle, m = n - k (James & Kerber
     1981, 2.7).  A shape whose largest hook lam_1 + len(lam) - 1 is shorter
-    than m has no m-rim hook, so its eigenvalue is 0 without a bead scan.
+    than m has no m-rim hook, so its eigenvalue is 0 without a bead scan.  The
+    shapes, the pairs and the dimensions come from the shape table at n, which
+    later calls at the same n reuse.
 
     The result is checked against the exact trace identities of the adjacency
     matrix A: tr I = n!, tr A = 0 (no (n-k)-cycle is the identity) and
@@ -136,17 +182,14 @@ def full_spectrum(n: int, k: int, max_n: int | None = None) -> list[SpectrumEntr
     c = class_size(n, k)  # also the range check on k
     m = n - k
     sign = _transpose_sign(n, k)
-    # enumerate_partitions yields valid shapes only, so neither call below revalidates
-    shapes = enumerate_partitions(n)
-    index = {lam: i for i, lam in enumerate(shapes)}
+    table = _shape_table(n)
+    shapes = table.shapes
     entries: list[SpectrumEntry | None] = [None] * len(shapes)
-    for i, lam in enumerate(shapes):
-        if entries[i] is not None:  # filled from its conjugate
-            continue
+    pairs = iter(table.pairs)
+    for i, j, square in zip(pairs, pairs, table.squares):
+        lam = shapes[i]
         value = _eigenvalue(lam, m) if lam[0] + len(lam) - 1 >= m else 0
-        square = _dimension(lam) ** 2
         entries[i] = SpectrumEntry(lam, value, square)
-        j = index[_conjugate(lam)]
         if j != i:
             entries[j] = SpectrumEntry(shapes[j], sign * value, square)
     traces = tuple(sum(e.multiplicity * e.eigenvalue**p for e in entries) for p in range(3))

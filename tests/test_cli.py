@@ -114,8 +114,23 @@ NINES = "9" * 4000
             ("lambda2", "--n", "5", "--k", "1"),
             "error: CAYLEY_SPECTRA_MAX_N must be an integer, got 'xxxxxxxxxxxxxxxxxxxx...'\n",
         ),
+        ("0", ("lambda2", "--n", "5", "--k", "1"), "error: CAYLEY_SPECTRA_MAX_N must be at least 1, got '0'\n"),
+        ("-1", ("lambda2", "--n", "5", "--k", "1"), "error: CAYLEY_SPECTRA_MAX_N must be at least 1, got '-1'\n"),
+        (
+            f"-{NINES}",
+            ("lambda2", "--n", "5", "--k", "1"),
+            "error: CAYLEY_SPECTRA_MAX_N must be at least 1, got '-9999999999999999999...'\n",
+        ),
     ],
-    ids=["cap-4000-digits", "cap-past-the-digit-limit", "size-mismatch", "non-integer-max-n"],
+    ids=[
+        "cap-4000-digits",
+        "cap-past-the-digit-limit",
+        "size-mismatch",
+        "non-integer-max-n",
+        "zero-max-n",
+        "negative-max-n",
+        "negative-4000-digit-max-n",
+    ],
 )
 def test_size_errors_clip_what_they_echo(capsys, monkeypatch, env, argv, message):
     # these messages used to echo the whole size, both tuples or the whole variable:

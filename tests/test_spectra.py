@@ -5,9 +5,14 @@ integers, and every identity asserted here is checked with ==, not approx.
 """
 
 import csv
+import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import weakref
 from fractions import Fraction
 from math import comb, factorial, inf
 
@@ -160,6 +165,85 @@ def test_full_spectrum_rejects_a_wrong_eigenvalue(monkeypatch):
     monkeypatch.setattr(spectra, "_eigenvalue", off_by_one)
     with pytest.raises(ArithmeticError, match="trace identities"):
         full_spectrum(6, 2)
+
+
+# --- the shape table: the k-independent half of full_spectrum, kept per n
+
+
+@pytest.mark.parametrize("walk", [range(2, 15), range(14, 1, -1)], ids=["n-up", "n-down"])
+def test_a_warm_table_gives_the_spectra_of_new_ones(walk):
+    for n in walk:
+        other = n - 1 if n > 2 else n + 1
+        new = []
+        for k in range(n - 1):
+            full_spectrum(other, 0)  # replaces the table at n ...
+            new.append(full_spectrum(n, k))  # ... so that this call builds it afresh
+        table = spectra._last_table
+        warm = [full_spectrum(n, k) for k in range(n - 1)]
+        assert spectra._last_table is table
+        assert warm == new, n
+
+
+def test_one_table_per_n_and_never_two_alive(monkeypatch):
+    full_spectrum(9, 2)
+    table = spectra._last_table
+    lambda2(9, 5)
+    assert spectra._last_table is table and table.n == 9
+    old = weakref.ref(table)
+    del table
+
+    # the table at 9 must be gone before the one at 10 is started
+    alive_during_build = []
+    zs1 = spectra.enumerate_partitions
+
+    def enumerate_after_the_drop(n):
+        gc.collect()
+        alive_during_build.append(old() is not None)
+        return zs1(n)
+
+    monkeypatch.setattr(spectra, "enumerate_partitions", enumerate_after_the_drop)
+    full_spectrum(10, 2)
+    gc.collect()
+    assert alive_during_build == [False] and old() is None
+    assert spectra._last_table.n == 10
+
+
+def test_a_failed_build_publishes_no_table(monkeypatch):
+    full_spectrum(7, 1)
+
+    def broken(lam):
+        raise ArithmeticError("bead factorials do not divide")
+
+    monkeypatch.setattr(spectra, "_dimension", broken)
+    with pytest.raises(ArithmeticError, match="bead factorials"):
+        full_spectrum(8, 1)
+    assert spectra._last_table is None
+    monkeypatch.undo()
+    assert full_spectrum(8, 1)[0].eigenvalue == class_size(8, 1)
+
+
+CORRUPT_ONE_SQUARE = """
+import cayley_spectra.spectra as spectra
+spectra.full_spectrum(8, 3)
+spectra._last_table.squares[1] += 1
+try:
+    spectra.full_spectrum(8, 3)
+except ArithmeticError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_wrong_stored_square_trips_the_trace_identities(flags):
+    # in a child, so that the corrupted table never reaches another test
+    src = os.path.dirname(os.path.dirname(spectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, *flags, "-c", CORRUPT_ONE_SQUARE],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout.startswith("spectrum of n = 8, k = 3 fails the trace identities: ")
 
 
 def test_bipartite_symmetry_when_cycle_is_even_length():
