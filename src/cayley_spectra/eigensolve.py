@@ -235,6 +235,8 @@ def _top_ritz_pairs(columns: list[np.ndarray], count: int) -> tuple[np.ndarray, 
 RECURSIVE_DEGREE = 8
 RECURSIVE_CYCLE_LENGTH = 5
 RECURSIVE_MAX_K = 4
+#: the filtered graphs run on the right cosets of <z>, z this even involution
+RECURSIVE_INVOLUTION = "(5 6)(7 8)"
 
 LAMBDA2_FORMULA = "n*(n-2)*(n-3)*(n-4)*(n-6)/5"
 
@@ -269,6 +271,8 @@ class RecursiveCertificate:
     tol: float
     seed: int
     lambda2_formula: str
+    vertices: int
+    subgroup: str
 
     @property
     def passed(self) -> bool:
@@ -278,6 +282,8 @@ class RecursiveCertificate:
         return json.dumps(
             {
                 "graphs": f"Cay(Alt({RECURSIVE_DEGREE}), 5-cycles with support covering 1..k)",
+                "vertices": self.vertices,
+                "subgroup": self.subgroup,
                 "tol": self.tol,
                 "seed": self.seed,
                 "rows": [
@@ -312,13 +318,18 @@ def _depth(t: Permutation) -> int:
 
 def filtration_operators(group: GroupSlice, cycles: list[Permutation]) -> list[CayleyOperator]:
     """Operators of Cay(group, T_k ∩ group) for k = 0..RECURSIVE_MAX_K, where
-    T_k = ``t_filtration(cycles, k)``.
+    T_k = ``t_filtration(cycles, k)``, on the right cosets of
+    <RECURSIVE_INVOLUTION>: half the vertices, every distinct eigenvalue
+    (see :func:`permutations._require_quotient`).  A coset vector and its
+    lift to the group have the same relative residual, and ||M||_1 is still
+    the valency, so a residual certificate means the same on either.
 
     The level-0 connection is sorted stably by depth, deepest first, so every
     T_k is a prefix of it and all levels share its factor rows.
     """
+    involution = Permutation.parse(RECURSIVE_INVOLUTION, degree=group.degree)
     connection = sorted((t for t in cycles if group.contains(t)), key=_depth, reverse=True)
-    full = cayley_adjacency(group, connection)
+    full = cayley_adjacency(group, connection, involution)
     counts = [len(t_filtration(connection, k)) for k in range(RECURSIVE_MAX_K + 1)]
     return [full.prefix(count) for count in counts]
 
@@ -328,10 +339,11 @@ def verify_recursive_5cycles(
 ) -> RecursiveCertificate:
     """Numerically certify the five filtered 5-cycle Cayley graphs on Alt(8).
 
-    For k = 0..4 the vertex set is Alt(8) and the connection set keeps the
-    5-cycles whose support covers {1..k}.  A Lanczos run produces the top two
-    eigenvalues; the second must match, after integer promotion, the exact
-    coset-count difference
+    For k = 0..4 the graph is on Alt(8) and the connection set keeps the
+    5-cycles whose support covers {1..k}.  A Lanczos run on the 10080 right
+    cosets of <(5 6)(7 8)>, which carry every eigenvalue of the graph,
+    produces the top two eigenvalues; the second must match, after integer
+    promotion, the exact coset-count difference
 
         |T_k fixing k+1| - |T_k sending k+2 to k+1|
 
@@ -340,8 +352,9 @@ def verify_recursive_5cycles(
     """
     group = alternating_group(RECURSIVE_DEGREE)
     cycles = enumerate_class_cycles(RECURSIVE_DEGREE, RECURSIVE_CYCLE_LENGTH)
+    operators = filtration_operators(group, cycles)
     rows: list[RecursiveCheckRow] = []
-    for k, operator in enumerate(filtration_operators(group, cycles)):
+    for k, operator in enumerate(operators):
         result = extremal_eigenvalues(operator, count=2, tol=tol, seed=seed)
         rhs = quotient_lambda2_recursive(operator.connection, group, k)
         lam1, lam2 = result.integers
@@ -379,7 +392,12 @@ def verify_recursive_5cycles(
                 rows=tuple(rows),
             )
     certificate = RecursiveCertificate(
-        rows=tuple(rows), tol=tol, seed=seed, lambda2_formula=LAMBDA2_FORMULA
+        rows=tuple(rows),
+        tol=tol,
+        seed=seed,
+        lambda2_formula=LAMBDA2_FORMULA,
+        vertices=operators[0].dim,
+        subgroup=f"right cosets of ⟨{RECURSIVE_INVOLUTION}⟩",
     )
     # the certified formula must reproduce the k = 0 row it was verified on
     formula = five_cycle_lambda2_formula(RECURSIVE_DEGREE)

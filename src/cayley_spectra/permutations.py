@@ -4,7 +4,10 @@ Alt(n), and implicit Cayley adjacency operators.
 Permutations act on {1, ..., degree}; composition is (sigma * pi)(x) =
 sigma(pi(x)).  Vertices of a Cayley graph are the members of a
 :class:`GroupSlice` in lexicographic order of their image tuples, and two
-vertices g, h are adjacent iff h g^{-1} lies in the connection set.
+vertices g, h are adjacent iff h g^{-1} lies in the connection set.  On
+Alt(n), n >= 5, an operator may instead act on the right cosets g<z> of an
+even involution z, numbered by their smaller members: the Schreier graph,
+which has the same distinct eigenvalues on half the vertices.
 """
 
 from __future__ import annotations
@@ -300,7 +303,7 @@ def coset_count(
 
 
 class _RankLookup:
-    """Rank of t * g for every member g of a slice, read from one lookup table.
+    """Vertex index of t * g for every vertex g of a slice, read from one lookup table.
 
     Members of degree n that agree on their first n-2 images differ only in
     the order of the last two, so they sit next to each other in
@@ -308,36 +311,76 @@ class _RankLookup:
     exactly one of the two.  The table maps the base-n key of those n-2
     0-based images to the rank of the first member with them, and holds -1
     where no member has them.  For Alt(8) it has 8^6 int32 entries, 1 MB.
+
+    Without an ``involution`` every member is a vertex and its index is its
+    rank.  With an involution z the vertices are the right cosets {g, g * z},
+    each numbered by its smaller member in lexicographic order: ``ranks``
+    composes t with that member only and maps the rank of the product to its
+    coset.  g * z holds g's images at the positions z permutes, so the table
+    ranks it too.
     """
 
-    def __init__(self, slice_: GroupSlice):
+    def __init__(self, slice_: GroupSlice, involution: Permutation | None = None):
         n = slice_.degree
         head = max(n - 2, 0)
         # one contiguous row of images per position, so every gather below is row-major
         columns = _member_matrix(slice_).T.copy()
         self._weights = n ** np.arange(head - 1, -1, -1, dtype=np.int32)
+        # the two orders of the last two images are both members only in a full slice
+        self._full = n >= 2 and not slice_.even_only
+        step = 2 if self._full else 1
+        self._lookup = np.full(n**head, -1, dtype=np.int32)
+        self._lookup[(self._weights @ columns[:head])[::step]] = np.arange(
+            0, slice_.order, step, dtype=np.int32
+        )
+        #: member ranks of the vertices, ascending, and the vertex of every
+        #: member; both None when every member is a vertex
+        self.representatives = self.vertex_of = None
+        if involution is not None:
+            self.representatives, self.vertex_of = self._right_cosets(slice_, columns, involution)
+            columns = columns.take(self.representatives, axis=1)  # still row-major
+        self.dim = columns.shape[1]
         # flat positions of the head images in a (head, degree) table of weighted images
         self._heads = columns[:head] + (np.arange(head) * n)[:, None]
-        # the two orders of the last two images are both members only in a full slice
-        self._tails = columns[head:] if n >= 2 and not slice_.even_only else None
-        step = 1 if self._tails is None else 2
-        self._lookup = np.full(n**head, -1, dtype=np.int32)
-        keys = self._keys(np.arange(n))
-        self._lookup[keys[::step]] = np.arange(0, slice_.order, step, dtype=np.int32)
+        self._tails = columns[head:] if self._full else None
+
+    def _right_cosets(self, slice_: GroupSlice, columns: np.ndarray, involution: Permutation):
+        """(representatives, vertex_of) for the right cosets of <involution>."""
+        head = len(self._weights)
+        # row i of g * z holds g(z(i)): the rows of g, permuted by z
+        moved = columns[[v - 1 for v in involution.images]]
+        partner = self._lookup[self._weights @ moved[:head]]
+        if self._full:
+            partner += moved[head] > moved[head + 1]
+        members = np.arange(slice_.order)
+        # the table reads only the first n-2 images, so check that each partner is g * z
+        exact = (columns.take(partner, axis=1) == moved).all()
+        if not (exact and (partner != members).all() and (partner[partner] == members).all()):
+            raise VerificationError(
+                "the involution does not pair every member with a distinct member",
+                involution=involution,
+                slice=slice_,
+            )
+        representatives = np.flatnonzero(members < partner)
+        vertex_of = np.empty(slice_.order, dtype=np.int32)
+        vertex_of[representatives] = vertex_of[partner[representatives]] = np.arange(
+            len(representatives), dtype=np.int32
+        )
+        return representatives, vertex_of
 
     def _keys(self, t0: np.ndarray) -> np.ndarray:
         weighted = np.outer(self._weights, t0.astype(np.int32)).ravel()
         return weighted[self._heads].sum(axis=0, dtype=np.int32)
 
     def ranks(self, t0: np.ndarray) -> np.ndarray:
-        """Ranks of t * g for every member g; ``t0`` holds t's 0-based images
-        and t must lie in the slice."""
+        """Vertex index of t * g for every vertex g; ``t0`` holds t's 0-based
+        images and t must lie in the slice."""
         ranks = self._lookup[self._keys(t0)]
         if ranks.min() < 0:
             raise VerificationError("a composed permutation is not a member of the vertex group")
         if self._tails is not None:
             ranks += t0[self._tails[0]] > t0[self._tails[1]]
-        return ranks
+        return ranks if self.vertex_of is None else self.vertex_of[ranks]
 
 
 def _images0(degree: int, cycles) -> tuple[int, ...]:
@@ -364,23 +407,28 @@ def _split(cycles: list[tuple[int, ...]]):
 
 
 def _factor_rows(
-    slice_: GroupSlice, connection: list[Permutation]
+    slice_: GroupSlice, connection: list[Permutation], involution: Permutation | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank rows of the two factors of every connection element.
+    """Rank rows of the two factors of every connection element, on the
+    vertices of :class:`_RankLookup`: the members of ``slice_``, or the right
+    cosets of <involution>.
 
     Returns ``(heads, tails, pairs)``: row i of ``heads`` and of ``tails``
-    holds the rank of a_i * g and of b_i * g for every member g, and row j of
-    ``pairs`` is (head, tail) with t_j = heads[head] * tails[tail], so that
-    rank(t_j * g) = heads[head][tails[tail][g]], or tails[tail][g] alone
-    when head = -1 (the identity).  Each distinct factor is stored once, in
-    the smallest unsigned dtype that holds every rank (uint16 up to degree 8).
+    holds the index of a_i * g and of b_i * g for every vertex g, and row j
+    of ``pairs`` is (head, tail) with t_j = heads[head] * tails[tail], so
+    that index(t_j * g) = heads[head][tails[tail][g]], or tails[tail][g]
+    alone when head = -1 (the identity).  Each distinct factor is stored
+    once, in the smallest unsigned dtype that holds every index (uint16 up
+    to degree 8).  Composing rows stays exact on right cosets: a * h and
+    a * h * z lie in one coset, so row_a gives the same index whichever
+    member h of the coset named by row_b it was ranked from.
 
     Heads are 3-cycles and tails that :func:`_split` leaves whole are ranked
-    by :class:`_RankLookup`; any other tail is split again and stored
-    composed, so the tail of a 7-cycle is a composed 5-cycle row.
+    by the lookup; any other tail is split again and stored composed, so the
+    tail of a 7-cycle is a composed 5-cycle row.
     """
-    lookup = _RankLookup(slice_)
-    dtype = np.min_scalar_type(slice_.order - 1)
+    lookup = _RankLookup(slice_, involution)
+    dtype = np.min_scalar_type(lookup.dim - 1)
 
     def row_of(cycles: list[tuple[int, ...]]) -> np.ndarray:
         head, tail = _split(cycles)
@@ -394,7 +442,7 @@ def _factor_rows(
         return seen.setdefault(_images0(slice_.degree, cycles), (len(seen), cycles))[0]
 
     def stack(seen: dict) -> np.ndarray:
-        rows = np.empty((len(seen), slice_.order), dtype=dtype)
+        rows = np.empty((len(seen), lookup.dim), dtype=dtype)
         for i, cycles in seen.values():
             rows[i] = row_of(cycles)
         return rows
@@ -413,8 +461,8 @@ def _factor_rows(
 
 
 def _compose(heads: np.ndarray, tails: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """One full row of ranks per pair of :func:`_factor_rows`: row j holds the
-    rank of t_j * g for every member g, as heads[head][tails[tail]].
+    """One full row of indices per pair of :func:`_factor_rows`: row j holds
+    the index of t_j * g for every vertex g, as heads[head][tails[tail]].
 
     Full rows are composed only for :meth:`CayleyOperator.dense` and the
     tests; the matvec applies the factors directly, and
@@ -435,7 +483,8 @@ def _require_inverse_closed(connection: list[Permutation], images: set) -> None:
 
 
 class CayleyOperator:
-    """Implicit adjacency operator of Cay(slice, connection).
+    """Implicit adjacency operator of Cay(slice, connection), or with an
+    ``involution`` z of its Schreier graph on the right cosets g<z>.
 
     Each connection element is split once, by :func:`_factor_rows`, into a
     head a and a tail b with rank(t * g) = row_a[row_b[g]]; elements ranked
@@ -448,14 +497,22 @@ class CayleyOperator:
     share.  For all 1344 5-cycles on Alt(8) that is 104 head and 70 tail
     gathers instead of 1344, and 35 partner sums with 637 adds instead of
     70 with 1274, from 7 MB of uint16 factor rows instead of a 54 MB table
-    of composed rows.  A matvec of the five certification levels takes
-    17.5, 10.4, 8.2, 5.5 and 3.0 ms, against 25.7, 15.0, 10.8, 6.2 and
-    3.7 ms with one sum per tail (medians of 10 alternating runs, 2 cores).
-    :meth:`prefix` serves a leading part of the connection from the same
-    factor rows without a copy.
+    of composed rows; on the 10080 right cosets of <(5 6)(7 8)> the same
+    gathers and adds run on rows half as long, 3.5 MB in all.  A matvec of
+    the five certification levels takes 4.9, 2.9, 2.3, 1.6 and 0.9 ms on
+    the cosets, against 9.9, 6.2, 4.6, 3.1 and 1.7 ms on all of Alt(8)
+    (medians of 10 alternating runs, 2 cores).  :meth:`prefix` serves a
+    leading part of the connection from the same factor rows without a copy.
     """
 
-    def __init__(self, slice_: GroupSlice, connection: list[Permutation]):
+    def __init__(
+        self,
+        slice_: GroupSlice,
+        connection: list[Permutation],
+        involution: Permutation | None = None,
+    ):
+        if involution is not None:
+            _require_quotient(slice_, involution)
         seen = set()
         for t in connection:
             if t.degree != slice_.degree:
@@ -470,8 +527,10 @@ class CayleyOperator:
         _require_inverse_closed(connection, seen)
         self.slice = slice_
         self.connection = list(connection)
-        self.dim = slice_.order
+        self.involution = involution
+        self.dim = slice_.order if involution is None else slice_.order // 2
         self._factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._cosets: tuple[np.ndarray, np.ndarray] | None = None
         self._plan: tuple[list[int], list[tuple[tuple[int, ...], list[int]]]] | None = None
 
     @property
@@ -501,8 +560,17 @@ class CayleyOperator:
     def _factor_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(heads, tails, pairs) of :func:`_factor_rows`, built on first use."""
         if self._factors is None:
-            self._factors = _factor_rows(self.slice, self.connection)
+            self._factors = _factor_rows(self.slice, self.connection, self.involution)
         return self._factors
+
+    def _coset_numbering(self) -> tuple[np.ndarray, np.ndarray]:
+        """(representatives, vertex_of) of :class:`_RankLookup` on a coset
+        operator, built on first use: only the conversions between vertices
+        and members need them, not the matvec."""
+        if self._cosets is None:
+            lookup = _RankLookup(self.slice, self.involution)
+            self._cosets = (lookup.representatives, lookup.vertex_of)
+        return self._cosets
 
     def _grouping(self) -> tuple[list[int], list[tuple[tuple[int, ...], list[int]]]]:
         """The heads to gather, and the tails in use grouped by the slots of
@@ -548,7 +616,8 @@ class CayleyOperator:
         return y
 
     def neighbors(self, vertex: int) -> list[int]:
-        """Sorted indices of t * g over the connection, g the vertex at ``vertex``."""
+        """Sorted indices of t * g over the connection, g the vertex at ``vertex``
+        (on right cosets: t * g for either member g of the coset)."""
         if not 0 <= vertex < self.dim:
             raise ValueError(f"vertex {vertex} outside 0..{self.dim - 1}")
         heads, tails, pairs = self._factor_rows()
@@ -571,20 +640,65 @@ class CayleyOperator:
         return a
 
     def index_of(self, perm: Permutation) -> int:
-        return self.slice.rank(perm)
+        """Index of the vertex holding ``perm``: its rank, or its coset's index."""
+        rank = self.slice.rank(perm)
+        if self.involution is None:
+            return rank
+        return int(self._coset_numbering()[1][rank])
 
     def vertex_at(self, index: int) -> Permutation:
-        return self.slice.unrank(index)
+        """The member at ``index``; on right cosets the smaller member of the coset."""
+        if self.involution is None:
+            return self.slice.unrank(index)
+        if not 0 <= index < self.dim:
+            raise ValueError(f"index {index} outside 0..{self.dim - 1}")
+        return self.slice.unrank(int(self._coset_numbering()[0][index]))
 
     def images_of(self, point: int) -> np.ndarray:
-        """sigma(point) for every vertex sigma, 1-based values."""
+        """sigma(point) for every vertex sigma, 1-based values.  On right cosets
+        g * z and g differ at the points z moves, so only a point z fixes has
+        one image per coset."""
         if not 1 <= point <= self.slice.degree:
             raise ValueError(f"point {point} outside 1..{self.slice.degree}")
-        return _member_matrix(self.slice)[:, point - 1].astype(np.int64) + 1
+        members = _member_matrix(self.slice)
+        if self.involution is not None:
+            if not self.involution.fixes(point):
+                raise ValueError(
+                    f"point {point} is moved by {self.involution.cycle_string()}, so the two "
+                    "members of a right coset send it to different images"
+                )
+            members = members[self._coset_numbering()[0]]
+        return members[:, point - 1].astype(np.int64) + 1
 
 
-def cayley_adjacency(slice_: GroupSlice, connection: list[Permutation]) -> CayleyOperator:
+def _require_quotient(slice_: GroupSlice, involution: Permutation) -> None:
+    """Raise ValueError unless the right cosets of <involution> keep every
+    eigenvalue of a Cayley graph on ``slice_``.
+
+    A = sum_t x(t * g) commutes with right multiplication, so its eigenspaces
+    are right-invariant, and the coset operator is A on the functions fixed
+    by g -> g * z.  For n >= 5 Alt(n) is simple with trivial centre: every
+    nontrivial irreducible rho is faithful and rho(z) != +-I, so rho(z) has
+    the eigenvalue +1, and every eigenspace of A meets the fixed functions
+    (Serre, Linear Representations of Finite Groups, ch. 2; Babai, JCTB 1979).
+    On Sym(n) the sign character sends an odd z to -1, so the fixed
+    functions miss the sign eigenvalue.
+    """
+    if not (slice_.even_only and slice_.degree >= 5):
+        raise ValueError(f"right cosets keep every eigenvalue only on Alt(n) with n >= 5, got {slice_}")
+    if involution.degree != slice_.degree:
+        raise ValueError(f"involution degree {involution.degree} != slice degree {slice_.degree}")
+    identity = Permutation.identity(slice_.degree)
+    if involution == identity or involution * involution != identity or not involution.is_even():
+        raise ValueError(f"need an even involution, got {involution.cycle_string()}")
+
+
+def cayley_adjacency(
+    slice_: GroupSlice, connection: list[Permutation], involution: Permutation | None = None
+) -> CayleyOperator:
     """Adjacency operator of Cay(slice, connection); validates that the
     connection is identity-free, duplicate-free, inverse-closed, and inside
-    the vertex group."""
-    return CayleyOperator(slice_, connection)
+    the vertex group.  With an even ``involution`` z on Alt(n), n >= 5, the
+    vertices are the right cosets g<z>: the same distinct eigenvalues on
+    half the dimension."""
+    return CayleyOperator(slice_, connection, involution)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 from math import comb, factorial, inf, lgamma, log, prod
 from typing import Callable, NamedTuple
@@ -68,6 +69,12 @@ def resolve_max_n(explicit: int | None = None) -> int:
         try:
             bound = int(env)
         except ValueError as exc:
+            # int() refuses a well-formed decimal only past the interpreter's digit limit
+            if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", env):
+                raise ValueError(
+                    f"{MAX_N_ENV_VAR} is too long to read as an integer ({len(env)} characters), "
+                    f"got {_clip(env)!r}"
+                ) from exc
             raise ValueError(f"{MAX_N_ENV_VAR} must be an integer, got {_clip(env)!r}") from exc
         if bound < 1:  # no spectrum lies below n = 1, and the cap messages echo the bound
             raise ValueError(f"{MAX_N_ENV_VAR} must be at least 1, got {_clip(env)!r}")
@@ -185,14 +192,22 @@ def full_spectrum(n: int, k: int, max_n: int | None = None) -> list[SpectrumEntr
     table = _shape_table(n)
     shapes = table.shapes
     entries: list[SpectrumEntry | None] = [None] * len(shapes)
+    # (tr I, tr A, tr A^2), summed per pair: a zero eigenvalue adds to tr I only
+    trace0 = trace1 = trace2 = 0
     pairs = iter(table.pairs)
     for i, j, square in zip(pairs, pairs, table.squares):
         lam = shapes[i]
         value = _eigenvalue(lam, m) if lam[0] + len(lam) - 1 >= m else 0
         entries[i] = SpectrumEntry(lam, value, square)
+        copies, twin_sign = 1, 0  # lam' as a second copy, with its sign
         if j != i:
             entries[j] = SpectrumEntry(shapes[j], sign * value, square)
-    traces = tuple(sum(e.multiplicity * e.eigenvalue**p for e in entries) for p in range(3))
+            copies, twin_sign = 2, sign
+        trace0 += copies * square
+        if value:
+            trace1 += (1 + twin_sign) * square * value
+            trace2 += copies * square * value * value
+    traces = (trace0, trace1, trace2)
     expected = (factorial(n), 0, factorial(n) * c)
     if traces != expected:
         raise ArithmeticError(

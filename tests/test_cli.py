@@ -114,6 +114,19 @@ NINES = "9" * 4000
             ("lambda2", "--n", "5", "--k", "1"),
             "error: CAYLEY_SPECTRA_MAX_N must be an integer, got 'xxxxxxxxxxxxxxxxxxxx...'\n",
         ),
+        (
+            "9" * 5000,
+            ("lambda2", "--n", "5", "--k", "1"),
+            "error: CAYLEY_SPECTRA_MAX_N is too long to read as an integer (5000 characters), "
+            "got '99999999999999999999...'\n",
+        ),
+        (
+            " -9_" + "9" * 4999 + " ",
+            ("lambda2", "--n", "5", "--k", "1"),
+            "error: CAYLEY_SPECTRA_MAX_N is too long to read as an integer (5004 characters), "
+            "got ' -9_9999999999999999...'\n",
+        ),
+        ("1__2", ("lambda2", "--n", "5", "--k", "1"), "error: CAYLEY_SPECTRA_MAX_N must be an integer, got '1__2'\n"),
         ("0", ("lambda2", "--n", "5", "--k", "1"), "error: CAYLEY_SPECTRA_MAX_N must be at least 1, got '0'\n"),
         ("-1", ("lambda2", "--n", "5", "--k", "1"), "error: CAYLEY_SPECTRA_MAX_N must be at least 1, got '-1'\n"),
         (
@@ -127,6 +140,9 @@ NINES = "9" * 4000
         "cap-past-the-digit-limit",
         "size-mismatch",
         "non-integer-max-n",
+        "5000-digit-max-n",
+        "signed-5000-digit-max-n",
+        "double-underscore-max-n",
         "zero-max-n",
         "negative-max-n",
         "negative-4000-digit-max-n",

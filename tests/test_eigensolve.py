@@ -14,6 +14,7 @@ import pytest
 from cayley_spectra import eigensolve
 from cayley_spectra.eigensolve import (
     DEFAULT_SEED,
+    RECURSIVE_INVOLUTION,
     MatrixOperator,
     dense_spectrum,
     extremal_eigenvalues,
@@ -22,6 +23,7 @@ from cayley_spectra.eigensolve import (
 )
 from cayley_spectra.errors import SizeLimitError, VerificationError
 from cayley_spectra.permutations import (
+    Permutation,
     _compose,
     _factor_rows,
     _split,
@@ -145,6 +147,8 @@ def test_extremal_orthogonalizes_a_new_start_only_after_a_breakdown(monkeypatch,
     assert sum(projections) == 2 * res.iterations + 2 * restarts
 
 
+ALT8_INVOLUTION = Permutation.parse(RECURSIVE_INVOLUTION, degree=8)
+
 #: Lanczos seeds: the default, then those of the alt8-certify benchmark,
 #: random.Random(s).getrandbits(32) for s = 0..9
 ALT8_SEEDS = [DEFAULT_SEED] + [random.Random(s).getrandbits(32) for s in range(10)]
@@ -155,8 +159,9 @@ ALT8_SEEDS = [DEFAULT_SEED] + [random.Random(s).getrandbits(32) for s in range(1
 def test_alt8_certificate_iterations_and_values_per_seed(seed):
     cert = eigensolve.verify_recursive_5cycles(seed=seed)
     assert cert.passed
-    # the seed drawn from 3 takes one more step at k = 1
-    iterations = (7, 13, 14, 16, 18) if seed == ALT8_SEEDS[4] else (7, 12, 14, 16, 18)
+    assert (cert.vertices, cert.subgroup) == (10080, "right cosets of ⟨(5 6)(7 8)⟩")
+    # the seed drawn from 1 meets the target one step earlier at k = 4
+    iterations = (7, 12, 14, 16, 17) if seed == ALT8_SEEDS[2] else (7, 12, 14, 16, 18)
     assert tuple(row.iterations for row in cert.rows) == iterations
     assert [(row.lambda1, row.lambda2) for row in cert.rows] == [
         (1344, 384), (840, 300), (480, 216), (240, 138), (96, 72)
@@ -222,11 +227,12 @@ def test_filtration_levels_are_prefixes_of_one_table():
     cycles = enumerate_class_cycles(8, 5)
     operators = filtration_operators(group, cycles)
     heads, tails, pairs = operators[0]._factor_rows()
-    x = np.random.default_rng(3).standard_normal(group.order)
+    x = np.random.default_rng(3).standard_normal(operators[0].dim)
     assert len(operators) == 5
     for k, op in enumerate(operators):
+        assert op.dim == group.order // 2
         connection = [t for t in t_filtration(cycles, k) if group.contains(t)]
-        fresh = cayley_adjacency(group, connection)
+        fresh = cayley_adjacency(group, connection, ALT8_INVOLUTION)
         level_heads, level_tails, level_pairs = op._factor_rows()
         assert np.shares_memory(level_heads, heads)
         assert np.shares_memory(level_tails, tails)
@@ -259,9 +265,9 @@ def test_recursive_check_names_an_integer_mismatch(monkeypatch):
 def test_alt8_levels_match_the_composed_table():
     group = alternating_group(8)
     operators = filtration_operators(group, enumerate_class_cycles(8, 5))
-    table = _compose(*_factor_rows(group, operators[0].connection))
-    x = np.random.default_rng(5).standard_normal(group.order)
-    expected = np.zeros(group.order)
+    table = _compose(*_factor_rows(group, operators[0].connection, ALT8_INVOLUTION))
+    x = np.random.default_rng(5).standard_normal(operators[0].dim)
+    expected = np.zeros(operators[0].dim)
     done = 0
     for op in reversed(operators):  # each level's connection extends the next level's
         for row in table[done : op.valency]:
@@ -273,7 +279,7 @@ def test_alt8_levels_match_the_composed_table():
 def test_alt8_levels_gather_each_factor_once(monkeypatch):
     group = alternating_group(8)
     operators = filtration_operators(group, enumerate_class_cycles(8, 5))
-    x = np.random.default_rng(5).standard_normal(group.order)
+    x = np.random.default_rng(5).standard_normal(operators[0].dim)
     gathers = []
     for op in operators:
         op.matvec(x)  # the first call builds the factor rows and the grouping
@@ -315,14 +321,50 @@ def test_alt8_levels_share_one_partner_sum_per_support():
 def test_alt8_matvec_equals_a_per_tail_loop_bit_for_bit():
     group = alternating_group(8)
     operators = filtration_operators(group, enumerate_class_cycles(8, 5))
-    x = np.random.default_rng(11).standard_normal(group.order)
+    x = np.random.default_rng(11).standard_normal(operators[0].dim)
     for op in operators:
         heads, tails, pairs = op._factor_rows()
-        expected = np.zeros(group.order)
+        expected = np.zeros(op.dim)
         for tail in sorted(set(pairs[:, 1].tolist())):
-            v = np.zeros(group.order)
+            v = np.zeros(op.dim)
             for head, other in pairs.tolist():
                 if other == tail:
                     v += x if head < 0 else x[heads[head]]
             expected += v[tails[tail]]
         assert np.array_equal(op.matvec(x), expected)
+
+
+def test_alt8_coset_matvec_lifts_to_the_full_matvec_bit_for_bit():
+    # A lift(x) = lift(M x): the coset operator adds the same terms in the same
+    # order as the operator on all of Alt(8), so the bits agree
+    group = alternating_group(8)
+    operators = filtration_operators(group, enumerate_class_cycles(8, 5))
+    full = cayley_adjacency(group, operators[0].connection)
+    lift = operators[0]._coset_numbering()[1]
+    assert np.bincount(lift).tolist() == [2] * operators[0].dim
+    x = np.random.default_rng(13).standard_normal(operators[0].dim)
+    for op in operators:
+        level = full.prefix(op.valency)
+        assert level.dim == 2 * op.dim == group.order
+        assert np.array_equal(level.matvec(x[lift]), op.matvec(x)[lift])
+
+
+def _distinct(values, gap=1e-6):
+    values = np.sort(values)
+    return values[np.concatenate([[True], np.diff(values) > gap])]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("length", [3, 5])
+def test_coset_operator_keeps_every_distinct_eigenvalue(n, length):
+    group = alternating_group(n)
+    involution = Permutation.from_cycles(n, [(n - 3, n - 2), (n - 1, n)])
+    cycles = [t for t in enumerate_class_cycles(n, length) if group.contains(t)]
+    for k in range(4):
+        connection = t_filtration(cycles, k)
+        full = dense_spectrum(cayley_adjacency(group, connection)).values
+        cosets = dense_spectrum(cayley_adjacency(group, connection, involution)).values
+        assert len(cosets) == len(full) // 2
+        expected = _distinct(full)
+        got = _distinct(cosets)
+        assert len(got) == len(expected) and np.allclose(got, expected, rtol=0, atol=1e-8), (n, length, k)

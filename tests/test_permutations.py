@@ -492,3 +492,125 @@ def test_factored_matvec_equals_the_dense_product(slice_, connection):
     # integer input: every partial sum is exact, so the order of the adds cannot show
     ints = np.arange(op.dim, dtype=np.float64)
     assert np.array_equal(op.matvec(ints), reference(ints))
+
+
+# --- right cosets of an even involution -------------------------------------
+
+
+def brute_schreier(slice_, connection, involution):
+    """Adjacency of the right cosets {g, g * z}, assembled one composition at a
+    time: entry (c', c) counts the t with t * g in c', g the smaller member of c."""
+    smaller = sorted({min(g, g * involution) for g in slice_.members()})
+    index = {g: i for i, g in enumerate(smaller)}
+    coset = {g: index[min(g, g * involution)] for g in slice_.members()}
+    a = np.zeros((len(smaller), len(smaller)), dtype=np.int64)
+    for j, g in enumerate(smaller):
+        for t in connection:
+            a[coset[t * g], j] += 1
+    return a
+
+
+@pytest.mark.parametrize(
+    "slice_, connection, involution",
+    [
+        (alternating_group(5), enumerate_class_cycles(5, 3), "(2 3)(4 5)"),
+        (alternating_group(6), enumerate_class_cycles(6, 5), "(3 4)(5 6)"),
+        (alternating_group(6), enumerate_class_cycles(6, 3), "(1 2)(3 4)"),
+        (alternating_group(7), enumerate_class_cycles(7, 3), "(4 5)(6 7)"),
+    ],
+    ids=["Alt(5) 3-cycles", "Alt(6) 5-cycles", "Alt(6) 3-cycles", "Alt(7) 3-cycles"],
+)
+def test_coset_operator_matches_the_brute_schreier_graph(slice_, connection, involution):
+    z = Permutation.parse(involution, degree=slice_.degree)
+    connection = [t for t in connection if slice_.contains(t)]
+    op = cayley_adjacency(slice_, connection, z)
+    assert op.dim == slice_.order // 2
+    brute = brute_schreier(slice_, connection, z)
+    if op.dim <= DENSE_ORDER_LIMIT:
+        assert np.array_equal(op.dense(), brute)
+    x = np.arange(op.dim, dtype=np.float64)
+    assert np.array_equal(op.matvec(x), brute @ x)
+    assert op.one_norm() == op.valency == brute.sum(axis=0).max()
+
+
+def test_coset_operator_answers_in_coset_numbering():
+    slice_ = alternating_group(6)
+    z = Permutation.parse("(3 4)(5 6)", degree=6)
+    connection = enumerate_class_cycles(6, 5)
+    op = cayley_adjacency(slice_, connection, z)
+    full = cayley_adjacency(slice_, connection)
+    vertices = [op.vertex_at(i) for i in range(op.dim)]
+    # each coset is numbered by its smaller member, in lexicographic order
+    assert vertices == sorted(vertices)
+    assert vertices == sorted({min(g, g * z) for g in slice_.members()})
+    for i, g in enumerate(vertices):
+        assert op.index_of(g) == op.index_of(g * z) == i
+        expected = sorted(op.index_of(t * g) for t in connection)
+        assert op.neighbors(i) == expected == sorted(op.index_of(t * g * z) for t in connection)
+    # never a full-group answer: the indices of the operator on all of Alt(6) differ
+    assert [op.index_of(g) for g in vertices] != [full.index_of(g) for g in vertices]
+    for point in (1, 2):  # z fixes these: one image per coset
+        assert op.images_of(point).tolist() == [g(point) for g in vertices]
+    for point in (3, 4, 5, 6):
+        with pytest.raises(ValueError, match=f"point {point} is moved"):
+            op.images_of(point)
+    for bad in (-1, op.dim):
+        with pytest.raises(ValueError, match=f"index {bad} outside 0..{op.dim - 1}"):
+            op.vertex_at(bad)
+        with pytest.raises(ValueError, match=f"vertex {bad} outside 0..{op.dim - 1}"):
+            op.neighbors(bad)
+    with pytest.raises(ValueError, match="length"):
+        op.matvec(np.ones(slice_.order))
+
+
+def test_an_odd_involution_on_sym5_loses_the_sign_eigenvalue():
+    # Cay(Sym(5), transpositions) has the sign eigenvalue -10; on the cosets of
+    # the odd (4 5) a sign eigenvector would have to be fixed by g -> g * (4 5),
+    # which flips its sign, so -10 is gone: why the constructor refuses
+    slice_ = symmetric_group(5)
+    z = Permutation.parse("(4 5)", degree=5)
+    transpositions = enumerate_class_cycles(5, 2)
+    full = np.linalg.eigvalsh(brute_adjacency(slice_, transpositions))
+    cosets = np.linalg.eigvalsh(brute_schreier(slice_, transpositions, z))
+    assert np.isclose(full, -10).any() and not np.isclose(cosets, -10).any()
+    # the rows themselves build the same Schreier graph: only the constructor refuses
+    rows = _compose(*_factor_rows(slice_, transpositions, z))
+    built = np.zeros((len(cosets), len(cosets)), dtype=np.int64)
+    for row in rows:
+        built[row, np.arange(len(cosets))] += 1
+    assert np.array_equal(built, brute_schreier(slice_, transpositions, z))
+    with pytest.raises(ValueError, match="only on Alt"):
+        cayley_adjacency(slice_, transpositions, z)
+
+
+@pytest.mark.parametrize(
+    "slice_, involution, message",
+    [
+        (alternating_group(5), "(4 5)", "even involution"),  # odd
+        (alternating_group(5), "(1 2 3)", "even involution"),  # not an involution
+        (alternating_group(6), "(1 2)(3 4 5 6)", "even involution"),  # even, of order 4
+        (alternating_group(5), "()", "even involution"),  # the trivial subgroup is the default
+        (alternating_group(4), "(1 2)(3 4)", "only on Alt"),  # not simple
+        (symmetric_group(5), "(2 3)(4 5)", "only on Alt"),
+    ],
+    ids=repr,
+)
+def test_coset_operator_refuses_what_loses_eigenvalues(slice_, involution, message):
+    z = Permutation.parse(involution, degree=slice_.degree)
+    connection = [t for t in enumerate_class_cycles(slice_.degree, 3) if slice_.contains(t)]
+    with pytest.raises(ValueError, match=message):
+        cayley_adjacency(slice_, connection, z)
+
+
+def test_coset_operator_refuses_an_involution_of_another_degree():
+    with pytest.raises(ValueError, match="degree 6 != slice degree 5"):
+        cayley_adjacency(alternating_group(5), [], Permutation.parse("(1 2)(3 4)", degree=6))
+
+
+@pytest.mark.parametrize("involution", ["()", "(1 2 3)", "(4 5)", "(1 2)"])
+def test_rank_lookup_refuses_what_does_not_pair_the_members(involution):
+    # the identity pairs a member with itself, a 3-cycle is no pairing, and an
+    # odd involution sends a member of Alt(5) outside it; the first three
+    # images of g * (1 2) are those of an even member, which must not pass for it
+    with pytest.raises(VerificationError, match="distinct member"):
+        _RankLookup(alternating_group(5), Permutation.parse(involution, degree=5))
