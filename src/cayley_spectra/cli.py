@@ -240,6 +240,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         print(report.to_json())
     else:
+        print(f"vertices: {report.vertices} {report.subgroup}")
         print(" k  valency  lambda1       lambda2       rhs_exact  status")
         for row in report.rows:
             print(

@@ -4,10 +4,12 @@ Alt(n), and implicit Cayley adjacency operators.
 Permutations act on {1, ..., degree}; composition is (sigma * pi)(x) =
 sigma(pi(x)).  Vertices of a Cayley graph are the members of a
 :class:`GroupSlice` in lexicographic order of their image tuples, and two
-vertices g, h are adjacent iff h g^{-1} lies in the connection set.  On
-Alt(n), n >= 5, an operator may instead act on the right cosets g<z> of an
-even involution z, numbered by their smaller members: the Schreier graph,
-which has the same distinct eigenvalues on half the vertices.
+vertices g, h are adjacent iff h g^{-1} lies in the connection set.  An
+operator may instead act on the right cosets gH of a subgroup H given by
+generators, each numbered by its smallest member: the Schreier graph on
+|G|/|H| vertices.  It is built only for an H that keeps every distinct
+eigenvalue, which one exact character count decides; the order-8 subgroup
+<(1 2)(3 4), (5 6)(7 8), (5 7)(6 8)> of Alt(8) leaves 2520 cosets.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import copy
 import itertools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import factorial
 
@@ -292,14 +295,27 @@ def coset_count(
         raise ValueError("give exactly one of fixes= and maps=")
     count = 0
     for t in class_members:
-        if not slice_.contains(t):
-            continue
+        # the O(1) coordinate test first: membership computes t's parity
         if fixes is not None and not t.fixes(fixes):
             continue
         if maps is not None and t(maps[0]) != maps[1]:
             continue
-        count += 1
+        if slice_.contains(t):
+            count += 1
     return count
+
+
+def _subgroup_elements(generators: Sequence[Permutation], degree: int) -> list[Permutation]:
+    """The elements of the subgroup generated by ``generators``, identity first."""
+    elements = [Permutation.identity(degree)]
+    seen = set(elements)
+    for g in elements:  # the list grows while it is walked: a breadth-first closure
+        for s in generators:
+            h = g * s
+            if h not in seen:
+                seen.add(h)
+                elements.append(h)
+    return elements
 
 
 class _RankLookup:
@@ -312,15 +328,15 @@ class _RankLookup:
     0-based images to the rank of the first member with them, and holds -1
     where no member has them.  For Alt(8) it has 8^6 int32 entries, 1 MB.
 
-    Without an ``involution`` every member is a vertex and its index is its
-    rank.  With an involution z the vertices are the right cosets {g, g * z},
-    each numbered by its smaller member in lexicographic order: ``ranks``
-    composes t with that member only and maps the rank of the product to its
-    coset.  g * z holds g's images at the positions z permutes, so the table
-    ranks it too.
+    With the trivial ``subgroup`` (no generators) every member is a vertex
+    and its index is its rank.  Otherwise the vertices are the right cosets
+    gH of the subgroup H the generators close to, each numbered by its
+    smallest member in lexicographic order: ``ranks`` composes t with that
+    member only and maps the rank of the product to its coset.  g * h holds
+    g's images at the positions h permutes, so the table ranks it too.
     """
 
-    def __init__(self, slice_: GroupSlice, involution: Permutation | None = None):
+    def __init__(self, slice_: GroupSlice, subgroup: Sequence[Permutation] = ()):
         n = slice_.degree
         head = max(n - 2, 0)
         # one contiguous row of images per position, so every gather below is row-major
@@ -336,36 +352,46 @@ class _RankLookup:
         #: member ranks of the vertices, ascending, and the vertex of every
         #: member; both None when every member is a vertex
         self.representatives = self.vertex_of = None
-        if involution is not None:
-            self.representatives, self.vertex_of = self._right_cosets(slice_, columns, involution)
+        elements = _subgroup_elements(subgroup, n)
+        if len(elements) > 1:
+            self.representatives, self.vertex_of = self._right_cosets(slice_, columns, elements)
             columns = columns.take(self.representatives, axis=1)  # still row-major
         self.dim = columns.shape[1]
         # flat positions of the head images in a (head, degree) table of weighted images
         self._heads = columns[:head] + (np.arange(head) * n)[:, None]
         self._tails = columns[head:] if self._full else None
 
-    def _right_cosets(self, slice_: GroupSlice, columns: np.ndarray, involution: Permutation):
-        """(representatives, vertex_of) for the right cosets of <involution>."""
+    def _right_cosets(self, slice_: GroupSlice, columns: np.ndarray, elements: list[Permutation]):
+        """(representatives, vertex_of) for the right cosets of the subgroup
+        with these ``elements``, identity first.  One running elementwise
+        minimum over the ranks of g * h holds the smallest member of every
+        coset, so memory stays at one array of length |G| whatever |H| is."""
         head = len(self._weights)
-        # row i of g * z holds g(z(i)): the rows of g, permuted by z
-        moved = columns[[v - 1 for v in involution.images]]
-        partner = self._lookup[self._weights @ moved[:head]]
-        if self._full:
-            partner += moved[head] > moved[head + 1]
-        members = np.arange(slice_.order)
-        # the table reads only the first n-2 images, so check that each partner is g * z
-        exact = (columns.take(partner, axis=1) == moved).all()
-        if not (exact and (partner != members).all() and (partner[partner] == members).all()):
+        members = np.arange(slice_.order, dtype=np.int32)
+        least = members.copy()
+        for h in elements[1:]:
+            # row i of g * h holds g(h(i)): the rows of g, permuted by h
+            moved = columns[[v - 1 for v in h.images]]
+            ranks = self._lookup[self._weights @ moved[:head]]
+            if self._full:
+                ranks += moved[head] > moved[head + 1]
+            # the table reads only the first n-2 images, so check that each rank is g * h
+            if not (columns.take(ranks, axis=1) == moved).all():
+                raise VerificationError(
+                    "a subgroup element sends a member outside the vertex group",
+                    element=h,
+                    slice=slice_,
+                )
+            np.minimum(least, ranks, out=least)
+        representatives = np.flatnonzero(least == members)
+        if len(representatives) * len(elements) != slice_.order:
             raise VerificationError(
-                "the involution does not pair every member with a distinct member",
-                involution=involution,
+                "the right cosets of the subgroup do not split the members evenly",
+                cosets=len(representatives),
+                subgroup_order=len(elements),
                 slice=slice_,
             )
-        representatives = np.flatnonzero(members < partner)
-        vertex_of = np.empty(slice_.order, dtype=np.int32)
-        vertex_of[representatives] = vertex_of[partner[representatives]] = np.arange(
-            len(representatives), dtype=np.int32
-        )
+        vertex_of = np.searchsorted(representatives, least).astype(np.int32)
         return representatives, vertex_of
 
     def _keys(self, t0: np.ndarray) -> np.ndarray:
@@ -407,11 +433,11 @@ def _split(cycles: list[tuple[int, ...]]):
 
 
 def _factor_rows(
-    slice_: GroupSlice, connection: list[Permutation], involution: Permutation | None = None
+    slice_: GroupSlice, connection: list[Permutation], subgroup: Sequence[Permutation] = ()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank rows of the two factors of every connection element, on the
     vertices of :class:`_RankLookup`: the members of ``slice_``, or the right
-    cosets of <involution>.
+    cosets of the subgroup that the generators in ``subgroup`` close to.
 
     Returns ``(heads, tails, pairs)``: row i of ``heads`` and of ``tails``
     holds the index of a_i * g and of b_i * g for every vertex g, and row j
@@ -419,15 +445,15 @@ def _factor_rows(
     that index(t_j * g) = heads[head][tails[tail][g]], or tails[tail][g]
     alone when head = -1 (the identity).  Each distinct factor is stored
     once, in the smallest unsigned dtype that holds every index (uint16 up
-    to degree 8).  Composing rows stays exact on right cosets: a * h and
-    a * h * z lie in one coset, so row_a gives the same index whichever
-    member h of the coset named by row_b it was ranked from.
+    to degree 8).  Composing rows stays exact on right cosets gH: a * g and
+    a * g * h lie in one coset, so row_a gives the same index whichever
+    member of the coset named by row_b it was ranked from.
 
     Heads are 3-cycles and tails that :func:`_split` leaves whole are ranked
     by the lookup; any other tail is split again and stored composed, so the
     tail of a 7-cycle is a composed 5-cycle row.
     """
-    lookup = _RankLookup(slice_, involution)
+    lookup = _RankLookup(slice_, subgroup)
     dtype = np.min_scalar_type(lookup.dim - 1)
 
     def row_of(cycles: list[tuple[int, ...]]) -> np.ndarray:
@@ -483,8 +509,9 @@ def _require_inverse_closed(connection: list[Permutation], images: set) -> None:
 
 
 class CayleyOperator:
-    """Implicit adjacency operator of Cay(slice, connection), or with an
-    ``involution`` z of its Schreier graph on the right cosets g<z>.
+    """Implicit adjacency operator of Cay(slice, connection), or with a
+    ``subgroup`` H, given by generators, of its Schreier graph on the right
+    cosets gH.
 
     Each connection element is split once, by :func:`_factor_rows`, into a
     head a and a tail b with rank(t * g) = row_a[row_b[g]]; elements ranked
@@ -497,22 +524,24 @@ class CayleyOperator:
     share.  For all 1344 5-cycles on Alt(8) that is 104 head and 70 tail
     gathers instead of 1344, and 35 partner sums with 637 adds instead of
     70 with 1274, from 7 MB of uint16 factor rows instead of a 54 MB table
-    of composed rows; on the 10080 right cosets of <(5 6)(7 8)> the same
-    gathers and adds run on rows half as long, 3.5 MB in all.  A matvec of
-    the five certification levels takes 4.9, 2.9, 2.3, 1.6 and 0.9 ms on
-    the cosets, against 9.9, 6.2, 4.6, 3.1 and 1.7 ms on all of Alt(8)
-    (medians of 10 alternating runs, 2 cores).  :meth:`prefix` serves a
-    leading part of the connection from the same factor rows without a copy.
+    of composed rows; on the 2520 right cosets of the order-8 subgroup
+    <(1 2)(3 4), (5 6)(7 8), (5 7)(6 8)> the same gathers and adds run on
+    rows an eighth as long, 0.9 MB in all.  A matvec of the five
+    certification levels takes 2.8, 1.3, 1.3, 0.6 and 0.4 ms on those
+    cosets, against 7.2, 4.6, 3.7, 2.6 and 1.5 ms on the 10080 cosets of
+    <(5 6)(7 8)> (medians of 5 alternating runs of 30 calls, 2 cores).
+    :meth:`prefix` serves a leading part of the connection from the same
+    factor rows without a copy.
     """
 
     def __init__(
         self,
         slice_: GroupSlice,
         connection: list[Permutation],
-        involution: Permutation | None = None,
+        subgroup: Sequence[Permutation] = (),
     ):
-        if involution is not None:
-            _require_quotient(slice_, involution)
+        subgroup = tuple(subgroup)
+        subgroup_order = len(_require_quotient(slice_, subgroup))
         seen = set()
         for t in connection:
             if t.degree != slice_.degree:
@@ -527,8 +556,11 @@ class CayleyOperator:
         _require_inverse_closed(connection, seen)
         self.slice = slice_
         self.connection = list(connection)
-        self.involution = involution
-        self.dim = slice_.order if involution is None else slice_.order // 2
+        #: generators of the subgroup whose right cosets are the vertices
+        self.subgroup = subgroup
+        #: True when the vertices are right cosets of a nontrivial subgroup
+        self.quotient = subgroup_order > 1
+        self.dim = slice_.order // subgroup_order
         self._factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._cosets: tuple[np.ndarray, np.ndarray] | None = None
         self._plan: tuple[list[int], list[tuple[tuple[int, ...], list[int]]]] | None = None
@@ -560,7 +592,7 @@ class CayleyOperator:
     def _factor_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(heads, tails, pairs) of :func:`_factor_rows`, built on first use."""
         if self._factors is None:
-            self._factors = _factor_rows(self.slice, self.connection, self.involution)
+            self._factors = _factor_rows(self.slice, self.connection, self.subgroup)
         return self._factors
 
     def _coset_numbering(self) -> tuple[np.ndarray, np.ndarray]:
@@ -568,7 +600,7 @@ class CayleyOperator:
         operator, built on first use: only the conversions between vertices
         and members need them, not the matvec."""
         if self._cosets is None:
-            lookup = _RankLookup(self.slice, self.involution)
+            lookup = _RankLookup(self.slice, self.subgroup)
             self._cosets = (lookup.representatives, lookup.vertex_of)
         return self._cosets
 
@@ -617,7 +649,7 @@ class CayleyOperator:
 
     def neighbors(self, vertex: int) -> list[int]:
         """Sorted indices of t * g over the connection, g the vertex at ``vertex``
-        (on right cosets: t * g for either member g of the coset)."""
+        (on right cosets: t * g for any member g of the coset)."""
         if not 0 <= vertex < self.dim:
             raise ValueError(f"vertex {vertex} outside 0..{self.dim - 1}")
         heads, tails, pairs = self._factor_rows()
@@ -642,13 +674,13 @@ class CayleyOperator:
     def index_of(self, perm: Permutation) -> int:
         """Index of the vertex holding ``perm``: its rank, or its coset's index."""
         rank = self.slice.rank(perm)
-        if self.involution is None:
+        if not self.quotient:
             return rank
         return int(self._coset_numbering()[1][rank])
 
     def vertex_at(self, index: int) -> Permutation:
-        """The member at ``index``; on right cosets the smaller member of the coset."""
-        if self.involution is None:
+        """The member at ``index``; on right cosets the smallest member of the coset."""
+        if not self.quotient:
             return self.slice.unrank(index)
         if not 0 <= index < self.dim:
             raise ValueError(f"index {index} outside 0..{self.dim - 1}")
@@ -656,49 +688,83 @@ class CayleyOperator:
 
     def images_of(self, point: int) -> np.ndarray:
         """sigma(point) for every vertex sigma, 1-based values.  On right cosets
-        g * z and g differ at the points z moves, so only a point z fixes has
-        one image per coset."""
+        g * h and g differ at the points h moves, so only a point that every
+        generator of the subgroup fixes has one image per coset."""
         if not 1 <= point <= self.slice.degree:
             raise ValueError(f"point {point} outside 1..{self.slice.degree}")
         members = _member_matrix(self.slice)
-        if self.involution is not None:
-            if not self.involution.fixes(point):
+        if self.quotient:
+            mover = next((h for h in self.subgroup if not h.fixes(point)), None)
+            if mover is not None:
                 raise ValueError(
-                    f"point {point} is moved by {self.involution.cycle_string()}, so the two "
-                    "members of a right coset send it to different images"
+                    f"point {point} is moved by {mover.cycle_string()}, so the members "
+                    "of a right coset send it to different images"
                 )
             members = members[self._coset_numbering()[0]]
         return members[:, point - 1].astype(np.int64) + 1
 
 
-def _require_quotient(slice_: GroupSlice, involution: Permutation) -> None:
-    """Raise ValueError unless the right cosets of <involution> keep every
-    eigenvalue of a Cayley graph on ``slice_``.
+def _require_quotient(slice_: GroupSlice, generators: Sequence[Permutation]) -> list[Permutation]:
+    """The elements of the subgroup H = <generators>, identity first; raise
+    ValueError unless the right cosets gH keep every distinct eigenvalue of
+    every Cayley graph on ``slice_``.
 
-    A = sum_t x(t * g) commutes with right multiplication, so its eigenspaces
-    are right-invariant, and the coset operator is A on the functions fixed
-    by g -> g * z.  For n >= 5 Alt(n) is simple with trivial centre: every
-    nontrivial irreducible rho is faithful and rho(z) != +-I, so rho(z) has
-    the eigenvalue +1, and every eigenspace of A meets the fixed functions
-    (Serre, Linear Representations of Finite Groups, ch. 2; Babai, JCTB 1979).
-    On Sym(n) the sign character sends an odd z to -1, so the fixed
-    functions miss the sign eigenvalue.
+    A = sum_t x(t * g) commutes with right multiplication, so each of its
+    eigenspaces is a sum of copies of irreducibles of the vertex group G under
+    g -> g * h, and the coset operator is A on the functions constant on
+    every gH.  An eigenspace meets those exactly when its irreducible has an
+    H-fixed vector, and by Frobenius reciprocity an irreducible chi has one
+    exactly when sum_{h in H} chi(h) > 0 (Serre, Linear Representations of
+    Finite Groups, ch. 7; Babai, JCTB 1979).  So the rule is one count: every
+    chi^lambda of Sym(n), lambda |- n, must sum to more than 0 over H.  The
+    characters come from the Murnaghan-Nakayama recursion
+    :func:`cayley_spectra.characters._mn` in exact integers, not from the
+    eigenvalue formula :func:`cayley_spectra.spectra._eigenvalue` that the
+    Lanczos certification checks.  On Alt(n) a self-conjugate chi^lambda
+    splits into two irreducibles that differ only on the split classes
+    (cycle types with distinct odd parts), so an H that meets none gives each
+    half the sum chi^lambda / 2; an H that meets one is refused.  The count
+    runs only for a nontrivial H: the full graph needs none.
     """
-    if not (slice_.even_only and slice_.degree >= 5):
-        raise ValueError(f"right cosets keep every eigenvalue only on Alt(n) with n >= 5, got {slice_}")
-    if involution.degree != slice_.degree:
-        raise ValueError(f"involution degree {involution.degree} != slice degree {slice_.degree}")
-    identity = Permutation.identity(slice_.degree)
-    if involution == identity or involution * involution != identity or not involution.is_even():
-        raise ValueError(f"need an even involution, got {involution.cycle_string()}")
+    for h in generators:
+        if h.degree != slice_.degree:
+            raise ValueError(f"subgroup generator degree {h.degree} != slice degree {slice_.degree}")
+        if not slice_.contains(h):
+            raise ValueError(f"subgroup generator {h.cycle_string()} lies outside {slice_}")
+    elements = _subgroup_elements(generators, slice_.degree)
+    if len(elements) == 1:
+        return elements
+    from .characters import _mn  # exact integers, loaded only for a coset operator
+    from .young import enumerate_partitions
+
+    named = "<" + ", ".join(h.cycle_string() for h in generators) + ">"
+    types: dict[tuple[int, ...], int] = {}
+    for h in elements:
+        tau = h.cycle_type()
+        types[tau] = types.get(tau, 0) + 1
+    if slice_.even_only:
+        for tau in types:
+            if len(set(tau)) == len(tau) and all(part % 2 for part in tau):
+                raise ValueError(
+                    f"{named} meets the split class of cycle type {tau} of {slice_}, "
+                    "so the character count cannot tell its two halves apart"
+                )
+    for lam in enumerate_partitions(slice_.degree):
+        total = sum(count * _mn(lam, tau) for tau, count in types.items())
+        if total <= 0:
+            raise ValueError(
+                f"the right cosets of {named} lose an eigenvalue: the character {lam} "
+                f"sums to {total} over the subgroup"
+            )
+    return elements
 
 
 def cayley_adjacency(
-    slice_: GroupSlice, connection: list[Permutation], involution: Permutation | None = None
+    slice_: GroupSlice, connection: list[Permutation], subgroup: Sequence[Permutation] = ()
 ) -> CayleyOperator:
     """Adjacency operator of Cay(slice, connection); validates that the
     connection is identity-free, duplicate-free, inverse-closed, and inside
-    the vertex group.  With an even ``involution`` z on Alt(n), n >= 5, the
-    vertices are the right cosets g<z>: the same distinct eigenvalues on
-    half the dimension."""
-    return CayleyOperator(slice_, connection, involution)
+    the vertex group.  With the generators of a nontrivial ``subgroup`` H the
+    vertices are the right cosets gH, admitted only when they keep every
+    distinct eigenvalue (see :func:`_require_quotient`)."""
+    return CayleyOperator(slice_, connection, subgroup)

@@ -348,6 +348,16 @@ def test_usage_error_table1_without_a_cycle_class(capsys, n):
     assert err == f"error: need 0 <= k <= n-2, got n = {n}, k = 0\n"
 
 
+def test_verify_table_names_its_vertices(capsys):
+    code, out, err = run(capsys, "verify-recursive-5cycles")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "vertices: 2520 right cosets of ⟨(1 2)(3 4), (5 6)(7 8), (5 7)(6 8)⟩"
+    assert lines[1].split() == ["k", "valency", "lambda1", "lambda2", "rhs_exact", "status"]
+    assert [line.split()[-1] for line in lines[2:7]] == ["PASS"] * 5
+    assert lines[7].endswith(": n*(n-2)*(n-3)*(n-4)*(n-6)/5")
+
+
 def test_verify_names_the_unreached_tolerance(capsys, monkeypatch):
     # 3 iterations cannot reach 1e-12 * valency: the failure is convergence, not a value
     monkeypatch.setattr(

@@ -5,6 +5,8 @@ the 6-cycle (2, 1, 1, -1, -1, -2), and Cay(Sym(5), 4-cycles) whose exact
 spectrum comes from the character route.
 """
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,7 +16,7 @@ import pytest
 from cayley_spectra import eigensolve
 from cayley_spectra.eigensolve import (
     DEFAULT_SEED,
-    RECURSIVE_INVOLUTION,
+    RECURSIVE_SUBGROUP,
     MatrixOperator,
     dense_spectrum,
     extremal_eigenvalues,
@@ -147,26 +149,58 @@ def test_extremal_orthogonalizes_a_new_start_only_after_a_breakdown(monkeypatch,
     assert sum(projections) == 2 * res.iterations + 2 * restarts
 
 
-ALT8_INVOLUTION = Permutation.parse(RECURSIVE_INVOLUTION, degree=8)
+ALT8_SUBGROUP = [Permutation.parse(h, degree=8) for h in RECURSIVE_SUBGROUP]
 
 #: Lanczos seeds: the default, then those of the alt8-certify benchmark,
 #: random.Random(s).getrandbits(32) for s = 0..9
 ALT8_SEEDS = [DEFAULT_SEED] + [random.Random(s).getrandbits(32) for s in range(10)]
 
 
+@functools.cache
+def alt8_certificate(seed):
+    return eigensolve.verify_recursive_5cycles(seed=seed)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", ALT8_SEEDS)
 def test_alt8_certificate_iterations_and_values_per_seed(seed):
-    cert = eigensolve.verify_recursive_5cycles(seed=seed)
+    cert = alt8_certificate(seed)
     assert cert.passed
-    assert (cert.vertices, cert.subgroup) == (10080, "right cosets of ⟨(5 6)(7 8)⟩")
-    # the seed drawn from 1 meets the target one step earlier at k = 4
-    iterations = (7, 12, 14, 16, 17) if seed == ALT8_SEEDS[2] else (7, 12, 14, 16, 18)
+    assert (cert.vertices, cert.subgroup) == (
+        2520, "right cosets of ⟨(1 2)(3 4), (5 6)(7 8), (5 7)(6 8)⟩"
+    )
+    # the seed drawn from 7 needs one more step at k = 2
+    iterations = (7, 13, 15, 16, 18) if seed == ALT8_SEEDS[8] else (7, 13, 14, 16, 18)
     assert tuple(row.iterations for row in cert.rows) == iterations
     assert [(row.lambda1, row.lambda2) for row in cert.rows] == [
         (1344, 384), (840, 300), (480, 216), (240, 138), (96, 72)
     ]
     assert all(r <= cert.tol * row.valency for row in cert.rows for r in row.residuals)
+
+
+@pytest.mark.slow
+def test_alt8_residuals_stop_at_half_the_target():
+    # Lanczos stops when its residual estimates reach half of tol * valency, so
+    # the certified residuals keep a margin below the target on every seed
+    ratios = [
+        r / (cert.tol * row.valency)
+        for cert in map(alt8_certificate, ALT8_SEEDS)
+        for row in cert.rows
+        for r in row.residuals
+    ]
+    assert max(ratios) <= 0.55
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+def test_extremal_stops_at_half_the_target(tol):
+    # eigenvalues t^3 on [0, 1]: slow enough convergence that the step before
+    # the stop is already inside the target but not yet inside half of it
+    op = MatrixOperator(np.diag(np.linspace(0, 1, 300) ** 3))
+    res = extremal_eigenvalues(op, count=2, tol=tol)
+    shorter = extremal_eigenvalues(op, count=2, tol=tol, max_iterations=res.iterations - 1)
+    target = tol * res.norm_bound
+    assert res.converged and max(res.residuals) <= 0.5 * target
+    assert shorter.converged and max(shorter.residuals) > 0.5 * target
 
 
 class CountingOperator(MatrixOperator):
@@ -230,9 +264,9 @@ def test_filtration_levels_are_prefixes_of_one_table():
     x = np.random.default_rng(3).standard_normal(operators[0].dim)
     assert len(operators) == 5
     for k, op in enumerate(operators):
-        assert op.dim == group.order // 2
+        assert op.dim == group.order // 8
         connection = [t for t in t_filtration(cycles, k) if group.contains(t)]
-        fresh = cayley_adjacency(group, connection, ALT8_INVOLUTION)
+        fresh = cayley_adjacency(group, connection, ALT8_SUBGROUP)
         level_heads, level_tails, level_pairs = op._factor_rows()
         assert np.shares_memory(level_heads, heads)
         assert np.shares_memory(level_tails, tails)
@@ -265,7 +299,7 @@ def test_recursive_check_names_an_integer_mismatch(monkeypatch):
 def test_alt8_levels_match_the_composed_table():
     group = alternating_group(8)
     operators = filtration_operators(group, enumerate_class_cycles(8, 5))
-    table = _compose(*_factor_rows(group, operators[0].connection, ALT8_INVOLUTION))
+    table = _compose(*_factor_rows(group, operators[0].connection, ALT8_SUBGROUP))
     x = np.random.default_rng(5).standard_normal(operators[0].dim)
     expected = np.zeros(operators[0].dim)
     done = 0
@@ -335,17 +369,17 @@ def test_alt8_matvec_equals_a_per_tail_loop_bit_for_bit():
 
 
 def test_alt8_coset_matvec_lifts_to_the_full_matvec_bit_for_bit():
-    # A lift(x) = lift(M x): the coset operator adds the same terms in the same
-    # order as the operator on all of Alt(8), so the bits agree
+    # A lift(x) = lift(M x) on every level: the coset operator adds the same
+    # terms in the same order as the operator on all of Alt(8), so the bits agree
     group = alternating_group(8)
     operators = filtration_operators(group, enumerate_class_cycles(8, 5))
     full = cayley_adjacency(group, operators[0].connection)
     lift = operators[0]._coset_numbering()[1]
-    assert np.bincount(lift).tolist() == [2] * operators[0].dim
+    assert np.bincount(lift).tolist() == [8] * operators[0].dim
     x = np.random.default_rng(13).standard_normal(operators[0].dim)
     for op in operators:
         level = full.prefix(op.valency)
-        assert level.dim == 2 * op.dim == group.order
+        assert level.dim == 8 * op.dim == group.order
         assert np.array_equal(level.matvec(x[lift]), op.matvec(x)[lift])
 
 
@@ -363,8 +397,74 @@ def test_coset_operator_keeps_every_distinct_eigenvalue(n, length):
     for k in range(4):
         connection = t_filtration(cycles, k)
         full = dense_spectrum(cayley_adjacency(group, connection)).values
-        cosets = dense_spectrum(cayley_adjacency(group, connection, involution)).values
+        cosets = dense_spectrum(cayley_adjacency(group, connection, [involution])).values
         assert len(cosets) == len(full) // 2
         expected = _distinct(full)
         got = _distinct(cosets)
+        assert len(got) == len(expected) and np.allclose(got, expected, rtol=0, atol=1e-8), (n, length, k)
+
+
+def klein_placement(group, connection, klein):
+    """Where t r_c lands for every connection element t and coset c of the
+    Klein group K = <a, b> acting on the right, r_c the smallest member of c:
+    arrays (cosets, elements) with t_j r_c = r_cosets[j, c] * k, k element
+    number elements[j, c] of (1, a, b, ab).  Composed one at a time."""
+    a, b = klein
+    elements = [Permutation.identity(group.degree), a, b, a * b]
+    members = group.members()
+    smallest = sorted({min(g * h for h in elements) for g in members})
+    place = {(r * h).images: (c, i) for c, r in enumerate(smallest) for i, h in enumerate(elements)}
+    found = [
+        [place[tuple(t.images[v - 1] for v in r.images)] for r in smallest] for t in connection
+    ]
+    placement = np.array(found, dtype=np.intp).reshape(len(connection), len(smallest), 2)
+    return placement[..., 0], placement[..., 1]
+
+
+def klein_blocks(cosets, elements):
+    """A on the whole group split by the characters e of K: on the functions
+    with f(g k) = e(k) f(g) it is the matrix B_e[c', c] = sum of e(k) over the
+    t with t r_c = r_c' k.  The four blocks together carry every eigenvalue
+    of A, and the block of the trivial e is the coset graph."""
+    source = np.broadcast_to(np.arange(cosets.shape[1]), cosets.shape)
+    blocks = []
+    for sign_a, sign_b in itertools.product((1, -1), repeat=2):
+        character = np.array([1, sign_a, sign_b, sign_a * sign_b])
+        block = np.zeros((cosets.shape[1],) * 2)
+        np.add.at(block, (cosets, source), character[elements])
+        assert np.array_equal(block, block.T)
+        blocks.append(block)
+    return blocks
+
+
+def test_klein_blocks_carry_the_whole_spectrum():
+    group = alternating_group(6)
+    klein = [Permutation.parse(h, degree=6) for h in ("(3 4)(5 6)", "(3 5)(4 6)")]
+    connection = [t for t in enumerate_class_cycles(6, 5) if group.contains(t)]
+    blocks = klein_blocks(*klein_placement(group, connection, klein))
+    union = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
+    full = np.sort(dense_spectrum(cayley_adjacency(group, connection)).values)
+    assert np.allclose(union, full, rtol=0, atol=1e-8)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("length", [3, 5])
+def test_klein_cosets_keep_every_distinct_eigenvalue(n, length):
+    group = alternating_group(n)
+    klein = [
+        Permutation.from_cycles(n, [(n - 3, n - 2), (n - 1, n)]),
+        Permutation.from_cycles(n, [(n - 3, n - 1), (n - 2, n)]),
+    ]
+    cycles = [t for t in enumerate_class_cycles(n, length) if group.contains(t)]
+    cosets, elements = klein_placement(group, cycles, klein)
+    for k in range(4):
+        kept = set(t_filtration(cycles, k))
+        level = [j for j, t in enumerate(cycles) if t in kept]
+        blocks = klein_blocks(cosets[level], elements[level])
+        op = cayley_adjacency(group, [cycles[j] for j in level], klein)
+        assert op.dim == group.order // 4
+        assert np.array_equal(op.dense(), blocks[0])
+        expected = _distinct(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
+        got = _distinct(dense_spectrum(op).values)
         assert len(got) == len(expected) and np.allclose(got, expected, rtol=0, atol=1e-8), (n, length, k)

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cayley_spectra import permutations
+from cayley_spectra.eigensolve import dense_spectrum
 from cayley_spectra.errors import SizeLimitError, VerificationError
 from cayley_spectra.permutations import (
     DENSE_ORDER_LIMIT,
@@ -22,6 +24,7 @@ from cayley_spectra.permutations import (
     _factor_rows,
     _member_matrix,
     _RankLookup,
+    _require_quotient,
     alternating_group,
     cayley_adjacency,
     coset_count,
@@ -146,6 +149,19 @@ def test_coset_count_requires_one_constraint():
         coset_count(T, a5, fixes=1, maps=(2, 1))
     with pytest.raises(ValueError):
         coset_count(T, a5)
+
+
+@pytest.mark.parametrize("slice_", [alternating_group(6), symmetric_group(6)], ids=repr)
+def test_coset_count_matches_a_membership_first_count(slice_):
+    # the coordinate test runs before membership; the counts must not move
+    for m in range(2, 7):
+        T = enumerate_class_cycles(6, m)
+        inside = [t for t in T if slice_.contains(t)]
+        for p in range(1, 7):
+            assert coset_count(T, slice_, fixes=p) == sum(t(p) == p for t in inside)
+        for src, dst in itertools.product(range(1, 7), repeat=2):
+            expected = sum(t(src) == dst for t in inside)
+            assert coset_count(T, slice_, maps=(src, dst)) == expected
 
 
 # --- slices ---------------------------------------------------------------
@@ -494,38 +510,69 @@ def test_factored_matvec_equals_the_dense_product(slice_, connection):
     assert np.array_equal(op.matvec(ints), reference(ints))
 
 
-# --- right cosets of an even involution -------------------------------------
+# --- right cosets of a subgroup ----------------------------------------------
 
 
-def brute_schreier(slice_, connection, involution):
-    """Adjacency of the right cosets {g, g * z}, assembled one composition at a
-    time: entry (c', c) counts the t with t * g in c', g the smaller member of c."""
-    smaller = sorted({min(g, g * involution) for g in slice_.members()})
-    index = {g: i for i, g in enumerate(smaller)}
-    coset = {g: index[min(g, g * involution)] for g in slice_.members()}
-    a = np.zeros((len(smaller), len(smaller)), dtype=np.int64)
-    for j, g in enumerate(smaller):
+def closure(generators, degree):
+    """Every product of the generators, by repeated multiplication until nothing is new."""
+    elements = {Permutation.identity(degree)}
+    while True:
+        grown = elements | {g * h for g in elements for h in generators}
+        if grown == elements:
+            return sorted(elements)
+        elements = grown
+
+
+def brute_schreier(slice_, connection, subgroup):
+    """Adjacency of the right cosets gH, assembled one composition at a time:
+    entry (c', c) counts the t with t * g in c', g the smallest member of c."""
+    elements = closure(subgroup, slice_.degree)
+    least = {g: min(g * h for h in elements) for g in slice_.members()}
+    index = {g: i for i, g in enumerate(sorted(set(least.values())))}
+    a = np.zeros((len(index), len(index)), dtype=np.int64)
+    for g, j in index.items():
         for t in connection:
-            a[coset[t * g], j] += 1
+            a[index[least[t * g]], j] += 1
     return a
 
 
+def parse_all(generators, degree):
+    return [Permutation.parse(h, degree=degree) for h in generators]
+
+
+KLEIN6 = ("(3 4)(5 6)", "(3 5)(4 6)")
+E8 = ("(1 2)(3 4)", "(5 6)(7 8)", "(5 7)(6 8)")
+
+
 @pytest.mark.parametrize(
-    "slice_, connection, involution",
+    "slice_, connection, subgroup",
     [
-        (alternating_group(5), enumerate_class_cycles(5, 3), "(2 3)(4 5)"),
-        (alternating_group(6), enumerate_class_cycles(6, 5), "(3 4)(5 6)"),
-        (alternating_group(6), enumerate_class_cycles(6, 3), "(1 2)(3 4)"),
-        (alternating_group(7), enumerate_class_cycles(7, 3), "(4 5)(6 7)"),
+        (alternating_group(5), enumerate_class_cycles(5, 3), ("(2 3)(4 5)",)),
+        (alternating_group(6), enumerate_class_cycles(6, 5), ("(3 4)(5 6)",)),
+        (alternating_group(6), enumerate_class_cycles(6, 3), ("(1 2)(3 4)",)),
+        (alternating_group(7), enumerate_class_cycles(7, 3), ("(4 5)(6 7)",)),
+        (alternating_group(6), enumerate_class_cycles(6, 5), KLEIN6),
+        (alternating_group(6), enumerate_class_cycles(6, 3), ("(1 2)(3 4 5 6)",)),
+        (symmetric_group(5), enumerate_class_cycles(5, 2), ("(2 3)(4 5)",)),
+        (alternating_group(8), enumerate_class_cycles(8, 3), E8),
     ],
-    ids=["Alt(5) 3-cycles", "Alt(6) 5-cycles", "Alt(6) 3-cycles", "Alt(7) 3-cycles"],
+    ids=[
+        "Alt(5) 3-cycles",
+        "Alt(6) 5-cycles",
+        "Alt(6) 3-cycles",
+        "Alt(7) 3-cycles",
+        "Alt(6) 5-cycles Klein",
+        "Alt(6) 3-cycles order 4",
+        "Sym(5) transpositions",
+        "Alt(8) 3-cycles order 8",
+    ],
 )
-def test_coset_operator_matches_the_brute_schreier_graph(slice_, connection, involution):
-    z = Permutation.parse(involution, degree=slice_.degree)
+def test_coset_operator_matches_the_brute_schreier_graph(slice_, connection, subgroup):
+    subgroup = parse_all(subgroup, slice_.degree)
     connection = [t for t in connection if slice_.contains(t)]
-    op = cayley_adjacency(slice_, connection, z)
-    assert op.dim == slice_.order // 2
-    brute = brute_schreier(slice_, connection, z)
+    op = cayley_adjacency(slice_, connection, subgroup)
+    assert op.quotient and op.dim == slice_.order // len(closure(subgroup, slice_.degree))
+    brute = brute_schreier(slice_, connection, subgroup)
     if op.dim <= DENSE_ORDER_LIMIT:
         assert np.array_equal(op.dense(), brute)
     x = np.arange(op.dim, dtype=np.float64)
@@ -533,26 +580,39 @@ def test_coset_operator_matches_the_brute_schreier_graph(slice_, connection, inv
     assert op.one_norm() == op.valency == brute.sum(axis=0).max()
 
 
-def test_coset_operator_answers_in_coset_numbering():
+def test_the_trivial_subgroup_is_the_full_graph():
+    slice_ = alternating_group(5)
+    connection = enumerate_class_cycles(5, 3)
+    for subgroup in ([], parse_all(["()"], 5)):
+        op = cayley_adjacency(slice_, connection, subgroup)
+        assert not op.quotient and op.dim == slice_.order
+        assert np.array_equal(op.dense(), brute_adjacency(slice_, connection))
+        assert op.images_of(4).tolist() == [g(4) for g in slice_.members()]
+
+
+@pytest.mark.parametrize("subgroup", [("(3 4)(5 6)",), KLEIN6], ids=["<z>", "Klein"])
+def test_coset_operator_answers_in_coset_numbering(subgroup):
     slice_ = alternating_group(6)
-    z = Permutation.parse("(3 4)(5 6)", degree=6)
+    subgroup = parse_all(subgroup, 6)
+    elements = closure(subgroup, 6)
     connection = enumerate_class_cycles(6, 5)
-    op = cayley_adjacency(slice_, connection, z)
+    op = cayley_adjacency(slice_, connection, subgroup)
     full = cayley_adjacency(slice_, connection)
     vertices = [op.vertex_at(i) for i in range(op.dim)]
-    # each coset is numbered by its smaller member, in lexicographic order
+    # each coset is numbered by its smallest member, in lexicographic order
     assert vertices == sorted(vertices)
-    assert vertices == sorted({min(g, g * z) for g in slice_.members()})
+    assert vertices == sorted({min(g * h for h in elements) for g in slice_.members()})
     for i, g in enumerate(vertices):
-        assert op.index_of(g) == op.index_of(g * z) == i
+        assert [op.index_of(g * h) for h in elements] == [i] * len(elements)
         expected = sorted(op.index_of(t * g) for t in connection)
-        assert op.neighbors(i) == expected == sorted(op.index_of(t * g * z) for t in connection)
+        for h in elements:
+            assert op.neighbors(i) == expected == sorted(op.index_of(t * g * h) for t in connection)
     # never a full-group answer: the indices of the operator on all of Alt(6) differ
     assert [op.index_of(g) for g in vertices] != [full.index_of(g) for g in vertices]
-    for point in (1, 2):  # z fixes these: one image per coset
+    for point in (1, 2):  # the subgroup fixes these: one image per coset
         assert op.images_of(point).tolist() == [g(point) for g in vertices]
     for point in (3, 4, 5, 6):
-        with pytest.raises(ValueError, match=f"point {point} is moved"):
+        with pytest.raises(ValueError, match=f"point {point} is moved by"):
             op.images_of(point)
     for bad in (-1, op.dim):
         with pytest.raises(ValueError, match=f"index {bad} outside 0..{op.dim - 1}"):
@@ -563,54 +623,141 @@ def test_coset_operator_answers_in_coset_numbering():
         op.matvec(np.ones(slice_.order))
 
 
+def test_alt8_order8_cosets_answer_in_coset_numbering():
+    slice_ = alternating_group(8)
+    subgroup = parse_all(E8, 8)
+    elements = closure(subgroup, 8)
+    connection = enumerate_class_cycles(8, 3)
+    op = cayley_adjacency(slice_, connection, subgroup)
+    assert (op.dim, len(elements)) == (2520, 8)
+    vertices = [op.vertex_at(i) for i in range(op.dim)]
+    assert vertices == sorted(vertices)
+    for i, g in enumerate(vertices):
+        assert [op.index_of(g * h) for h in elements] == [i] * 8
+        assert g == min(g * h for h in elements)
+    for i in range(0, op.dim, 97):
+        g = vertices[i]
+        assert op.neighbors(i) == sorted(op.index_of(t * g) for t in connection)
+    # every point is moved by some generator, so no point has one image per coset
+    for point in range(1, 9):
+        with pytest.raises(ValueError, match=f"point {point} is moved by"):
+            op.images_of(point)
+
+
 def test_an_odd_involution_on_sym5_loses_the_sign_eigenvalue():
     # Cay(Sym(5), transpositions) has the sign eigenvalue -10; on the cosets of
-    # the odd (4 5) a sign eigenvector would have to be fixed by g -> g * (4 5),
-    # which flips its sign, so -10 is gone: why the constructor refuses
+    # <(4 5)> a sign eigenvector would have to be fixed by g -> g * (4 5),
+    # which flips its sign, so -10 is gone: the sign character sums to 0
     slice_ = symmetric_group(5)
     z = Permutation.parse("(4 5)", degree=5)
     transpositions = enumerate_class_cycles(5, 2)
     full = np.linalg.eigvalsh(brute_adjacency(slice_, transpositions))
-    cosets = np.linalg.eigvalsh(brute_schreier(slice_, transpositions, z))
+    cosets = np.linalg.eigvalsh(brute_schreier(slice_, transpositions, [z]))
     assert np.isclose(full, -10).any() and not np.isclose(cosets, -10).any()
     # the rows themselves build the same Schreier graph: only the constructor refuses
-    rows = _compose(*_factor_rows(slice_, transpositions, z))
+    rows = _compose(*_factor_rows(slice_, transpositions, [z]))
     built = np.zeros((len(cosets), len(cosets)), dtype=np.int64)
     for row in rows:
         built[row, np.arange(len(cosets))] += 1
-    assert np.array_equal(built, brute_schreier(slice_, transpositions, z))
-    with pytest.raises(ValueError, match="only on Alt"):
-        cayley_adjacency(slice_, transpositions, z)
+    assert np.array_equal(built, brute_schreier(slice_, transpositions, [z]))
+    with pytest.raises(ValueError, match=r"the character \(1, 1, 1, 1, 1\) sums to 0"):
+        cayley_adjacency(slice_, transpositions, [z])
+
+
+def test_the_klein_group_on_alt5_loses_the_eigenvalue_0():
+    # its 15 cosets keep 20, 5 and -4 but not the 0 of the 3-cycle graph
+    slice_ = alternating_group(5)
+    klein = parse_all(("(2 3)(4 5)", "(2 4)(3 5)"), 5)
+    connection = enumerate_class_cycles(5, 3)
+    distinct = lambda a: sorted({round(v) for v in np.linalg.eigvalsh(a)})  # noqa: E731
+    assert distinct(brute_adjacency(slice_, connection)) == [-4, 0, 5, 20]
+    assert distinct(brute_schreier(slice_, connection, klein)) == [-4, 5, 20]
+    with pytest.raises(ValueError, match=r"the character \(3, 1, 1\) sums to 0"):
+        cayley_adjacency(slice_, connection, klein)
 
 
 @pytest.mark.parametrize(
-    "slice_, involution, message",
+    "slice_, subgroup",
     [
-        (alternating_group(5), "(4 5)", "even involution"),  # odd
-        (alternating_group(5), "(1 2 3)", "even involution"),  # not an involution
-        (alternating_group(6), "(1 2)(3 4 5 6)", "even involution"),  # even, of order 4
-        (alternating_group(5), "()", "even involution"),  # the trivial subgroup is the default
-        (alternating_group(4), "(1 2)(3 4)", "only on Alt"),  # not simple
-        (symmetric_group(5), "(2 3)(4 5)", "only on Alt"),
+        (alternating_group(4), ("(1 2)(3 4)",)),
+        (symmetric_group(5), ("(2 3)(4 5)",)),
+        (alternating_group(5), ("(1 2 3)",)),
+        (alternating_group(6), ("(1 2)(3 4 5 6)",)),
     ],
     ids=repr,
 )
-def test_coset_operator_refuses_what_loses_eigenvalues(slice_, involution, message):
-    z = Permutation.parse(involution, degree=slice_.degree)
+def test_admitted_cosets_keep_every_distinct_eigenvalue(slice_, subgroup):
+    # the count admits these, and the brute Schreier graphs confirm it
+    subgroup = parse_all(subgroup, slice_.degree)
+    for length in range(3, slice_.degree + 1):
+        connection = [t for t in enumerate_class_cycles(slice_.degree, length) if slice_.contains(t)]
+        full = np.linalg.eigvalsh(brute_adjacency(slice_, connection))
+        cosets = dense_spectrum(cayley_adjacency(slice_, connection, subgroup)).values
+        assert {round(v) for v in full} == {round(v) for v in cosets}
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_the_count_admits_an_even_involution_on_alt_n(n):
+    z = Permutation.from_cycles(n, [(n - 3, n - 2), (n - 1, n)])
+    assert _require_quotient(alternating_group(n), (z,)) == [Permutation.identity(n), z]
+
+
+def test_the_count_admits_the_order8_subgroup_of_alt8_and_not_its_order16_overgroup():
+    assert len(_require_quotient(alternating_group(8), tuple(parse_all(E8, 8)))) == 8
+    larger = parse_all(("(1 2)(3 4)", "(1 3)(2 4)", "(5 6)(7 8)", "(5 7)(6 8)"), 8)
+    with pytest.raises(ValueError, match=r"the character \(6, 1, 1\) sums to 0"):
+        _require_quotient(alternating_group(8), tuple(larger))
+
+
+@pytest.mark.parametrize(
+    "slice_, subgroup, message",
+    [
+        (alternating_group(5), ("(4 5)",), "lies outside"),  # odd
+        (alternating_group(5), ("(1 2)(3 4)", "(1 2)"), "lies outside"),
+        (alternating_group(5), ("(1 2 3 4 5)",), r"meets the split class of cycle type \(5,\)"),
+        (alternating_group(7), ("(1 2 3)(4 5 6)", "(1 2 3 4 5 6 7)"), "split class"),
+        (alternating_group(3), ("(1 2 3)",), "split class"),
+        (symmetric_group(4), ("(1 2)(3 4)", "(1 3)(2 4)"), r"\(3, 1\) sums to 0"),
+    ],
+    ids=repr,
+)
+def test_coset_operator_refuses_what_loses_eigenvalues(slice_, subgroup, message):
+    subgroup = parse_all(subgroup, slice_.degree)
     connection = [t for t in enumerate_class_cycles(slice_.degree, 3) if slice_.contains(t)]
     with pytest.raises(ValueError, match=message):
-        cayley_adjacency(slice_, connection, z)
+        cayley_adjacency(slice_, connection, subgroup)
 
 
-def test_coset_operator_refuses_an_involution_of_another_degree():
+def test_coset_operator_refuses_a_generator_of_another_degree():
     with pytest.raises(ValueError, match="degree 6 != slice degree 5"):
-        cayley_adjacency(alternating_group(5), [], Permutation.parse("(1 2)(3 4)", degree=6))
+        cayley_adjacency(alternating_group(5), [], [Permutation.parse("(1 2)(3 4)", degree=6)])
 
 
-@pytest.mark.parametrize("involution", ["()", "(1 2 3)", "(4 5)", "(1 2)"])
-def test_rank_lookup_refuses_what_does_not_pair_the_members(involution):
-    # the identity pairs a member with itself, a 3-cycle is no pairing, and an
-    # odd involution sends a member of Alt(5) outside it; the first three
+@pytest.mark.parametrize("subgroup", [("(4 5)",), ("(1 2)",), ("(1 2)(3 4)", "(4 5)")])
+def test_rank_lookup_refuses_a_subgroup_outside_the_slice(subgroup):
+    # an odd element sends a member of Alt(5) outside it; the first three
     # images of g * (1 2) are those of an even member, which must not pass for it
-    with pytest.raises(VerificationError, match="distinct member"):
-        _RankLookup(alternating_group(5), Permutation.parse(involution, degree=5))
+    with pytest.raises(VerificationError, match="outside the vertex group"):
+        _RankLookup(alternating_group(5), parse_all(subgroup, 5))
+
+
+def test_rank_lookup_numbers_cosets_by_their_smallest_member():
+    slice_ = alternating_group(5)
+    assert _RankLookup(slice_, ()).representatives is None
+    assert _RankLookup(slice_, parse_all(["()"], 5)).vertex_of is None
+    three = parse_all(["(1 2 3)"], 5)
+    lookup = _RankLookup(slice_, three)
+    members = slice_.members()
+    least = [min(g * h for h in closure(three, 5)) for g in members]
+    assert [members[r] for r in lookup.representatives] == sorted(set(least))
+    assert lookup.vertex_of.tolist() == [sorted(set(least)).index(m) for m in least]
+    assert lookup.dim == 20
+
+
+def test_rank_lookup_refuses_elements_that_are_no_subgroup(monkeypatch):
+    # the closure is what makes the cosets a partition: three elements that are
+    # no group do not split the 60 members into 20 classes of three
+    elements = [Permutation.identity(5)] + parse_all(("(1 2 3)", "(1 2)(4 5)"), 5)
+    monkeypatch.setattr(permutations, "_subgroup_elements", lambda generators, degree: elements)
+    with pytest.raises(VerificationError, match="do not split the members evenly"):
+        _RankLookup(alternating_group(5), elements[1:])
