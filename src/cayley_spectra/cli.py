@@ -208,10 +208,11 @@ def cmd_bruteforce(args) -> int:
     spectra.class_size(args.n, args.k)  # the range check on (n, k), before any group is built
     if args.n > BRUTEFORCE_MAX_N:
         raise ValueError(f"brute force is capped at n <= {BRUTEFORCE_MAX_N}, got n = {args.n}")
-    import numpy as np
-
+    # the array modules first: permutations loads numpy with one BLAS thread
     from . import eigensolve
     from .permutations import cayley_adjacency, enumerate_class_cycles, symmetric_group
+
+    import numpy as np
 
     op = cayley_adjacency(
         symmetric_group(args.n), enumerate_class_cycles(args.n, args.n - args.k)

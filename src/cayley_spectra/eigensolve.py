@@ -17,9 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import SizeLimitError, VerificationError
+# permutations loads numpy first, with one BLAS thread unless the process chose otherwise
 from .permutations import (
     CayleyOperator,
     GroupSlice,
@@ -27,8 +25,11 @@ from .permutations import (
     alternating_group,
     cayley_adjacency,
     enumerate_class_cycles,
-    t_filtration,
 )
+
+import numpy as np
+
+from .errors import SizeLimitError, VerificationError
 from .quotient import quotient_lambda2_recursive
 from .spectra import DEFAULT_SEED, DEFAULT_TOL, DENSE_ORDER_LIMIT, class_size
 
@@ -321,6 +322,19 @@ def _depth(t: Permutation) -> int:
     return depth
 
 
+def _levels(group: GroupSlice, cycles: list[Permutation]) -> tuple[list[Permutation], list[int]]:
+    """The members of ``cycles`` in ``group`` sorted stably by depth, deepest
+    first, and for k = 0..RECURSIVE_MAX_K the length of the prefix that is
+    T_k ∩ group: t lies in T_k = ``t_filtration(cycles, k)`` exactly when its
+    depth is at least k, so each depth is computed once and no level scans
+    the supports again."""
+    ranked = sorted(
+        ((_depth(t), t) for t in cycles if group.contains(t)), key=lambda pair: pair[0], reverse=True
+    )
+    counts = [sum(1 for depth, _ in ranked if depth >= k) for k in range(RECURSIVE_MAX_K + 1)]
+    return [t for _, t in ranked], counts
+
+
 def filtration_operators(group: GroupSlice, cycles: list[Permutation]) -> list[CayleyOperator]:
     """Operators of Cay(group, T_k ∩ group) for k = 0..RECURSIVE_MAX_K, where
     T_k = ``t_filtration(cycles, k)``, on the right cosets of the subgroup
@@ -334,9 +348,8 @@ def filtration_operators(group: GroupSlice, cycles: list[Permutation]) -> list[C
     T_k is a prefix of it and all levels share its factor rows.
     """
     subgroup = [Permutation.parse(h, degree=group.degree) for h in RECURSIVE_SUBGROUP]
-    connection = sorted((t for t in cycles if group.contains(t)), key=_depth, reverse=True)
+    connection, counts = _levels(group, cycles)
     full = cayley_adjacency(group, connection, subgroup)
-    counts = [len(t_filtration(connection, k)) for k in range(RECURSIVE_MAX_K + 1)]
     return [full.prefix(count) for count in counts]
 
 

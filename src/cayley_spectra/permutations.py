@@ -16,30 +16,62 @@ from __future__ import annotations
 
 import copy
 import itertools
+import os
 import re
+import sys
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import factorial
 
-import numpy as np
-
 from .errors import SizeLimitError, VerificationError
 from .spectra import DENSE_ORDER_LIMIT
+
+#: the variables that OpenBLAS reads for its thread count when it loads
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Load numpy inside this block with one OpenBLAS thread, then restore os.environ.
+
+    numpy's OpenBLAS starts one worker thread per core when it loads, about
+    70 ms of every import on two cores, and the package never calls a
+    threaded BLAS: the Lanczos products are einsum without ``optimize``, and
+    eigh and eigvalsh run on matrices of order at most DENSE_ORDER_LIMIT.
+    The pool is sized once, at load, so BLAS stays single-threaded for the
+    rest of the process.  A process that set any of _BLAS_THREAD_VARIABLES,
+    or loaded numpy before this package, is left as it is.
+    """
+    if "numpy" in sys.modules or any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+with _one_blas_thread():
+    import numpy as np
 
 #: |Alt(9)| = 181440 is the largest group we will materialize element by element
 MAX_MATERIALIZED_DEGREE = 9
 
 
 class Permutation:
-    """Immutable permutation of {1..degree}, stored as its image tuple."""
+    """Immutable permutation of {1..degree}, stored as its image tuple; its
+    sign is computed on first use and kept."""
 
-    __slots__ = ("_images",)
+    __slots__ = ("_images", "_sign")
 
     def __init__(self, images):
         images = tuple(int(v) for v in images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
         self._images = images
+        self._sign = 0
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -103,25 +135,23 @@ class Permutation:
         return Permutation(self._images[v - 1] for v in other._images)
 
     def inverse(self) -> "Permutation":
-        images = [0] * self.degree
-        for i, v in enumerate(self._images, start=1):
-            images[v - 1] = i
-        return Permutation(images)
+        return Permutation(_inverse_images(self._images))
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its smallest point, ordered by that point."""
-        seen = [False] * self.degree
+        images = self._images
+        seen = [False] * len(images)
         out = []
-        for start in range(1, self.degree + 1):
+        for start in range(1, len(images) + 1):
             if seen[start - 1]:
                 continue
             cycle = [start]
             seen[start - 1] = True
-            nxt = self(start)
+            nxt = images[start - 1]
             while nxt != start:
                 cycle.append(nxt)
                 seen[nxt - 1] = True
-                nxt = self(nxt)
+                nxt = images[nxt - 1]
             if len(cycle) > 1 or include_fixed:
                 out.append(tuple(cycle))
         return out
@@ -134,7 +164,9 @@ class Permutation:
         return frozenset(i for i, v in enumerate(self._images, start=1) if v != i)
 
     def sign(self) -> int:
-        return -1 if (self.degree - len(self.cycles(include_fixed=True))) % 2 else 1
+        if not self._sign:  # 0 until the first call
+            self._sign = -1 if (self.degree - len(self.cycles(include_fixed=True))) % 2 else 1
+        return self._sign
 
     def is_even(self) -> bool:
         return self.sign() == 1
@@ -162,6 +194,14 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation.parse({self.cycle_string()!r}, degree={self.degree})"
+
+
+def _inverse_images(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of the inverse of the permutation with ``images``."""
+    inverse = [0] * len(images)
+    for i, v in enumerate(images, start=1):
+        inverse[v - 1] = i
+    return tuple(inverse)
 
 
 @dataclass(frozen=True)
@@ -271,7 +311,12 @@ def enumerate_class_cycles(n: int, m: int) -> list[Permutation]:
     for support in itertools.combinations(range(1, n + 1), m):
         anchor, rest = support[0], support[1:]
         for tail in itertools.permutations(rest):
-            out.append(Permutation.from_cycles(n, [(anchor,) + tail]))
+            # distinct points in 1..n by construction: the constructor's check is the only one
+            images = list(range(1, n + 1))
+            cycle = (anchor,) + tail
+            for src, dst in zip(cycle, tail + (anchor,)):
+                images[src - 1] = dst
+            out.append(Permutation(images))
     return out
 
 
@@ -500,11 +545,12 @@ def _compose(heads: np.ndarray, tails: np.ndarray, pairs: np.ndarray) -> np.ndar
     return rows
 
 
-def _require_inverse_closed(connection: list[Permutation], images: set) -> None:
-    """Raise ValueError unless every inverse of ``connection`` has its image
-    tuple in ``images``."""
-    for t in connection:
-        if t.inverse().images not in images:
+def _require_inverse_closed(connection: list[Permutation], inverses: list[tuple[int, ...]]) -> None:
+    """Raise ValueError unless every image tuple in ``inverses``, those of the
+    inverses of ``connection`` in order, is the image tuple of a member."""
+    images = {t.images for t in connection}
+    for t, inverse in zip(connection, inverses):
+        if inverse not in images:
             raise ValueError(f"connection set is not inverse-closed: missing {t.inverse()!r}")
 
 
@@ -526,10 +572,12 @@ class CayleyOperator:
     70 with 1274, from 7 MB of uint16 factor rows instead of a 54 MB table
     of composed rows; on the 2520 right cosets of the order-8 subgroup
     <(1 2)(3 4), (5 6)(7 8), (5 7)(6 8)> the same gathers and adds run on
-    rows an eighth as long, 0.9 MB in all.  A matvec of the five
-    certification levels takes 2.8, 1.3, 1.3, 0.6 and 0.4 ms on those
-    cosets, against 7.2, 4.6, 3.7, 2.6 and 1.5 ms on the 10080 cosets of
-    <(5 6)(7 8)> (medians of 5 alternating runs of 30 calls, 2 cores).
+    rows an eighth as long, 0.9 MB in all.  On rows this short a call's
+    fixed cost counts, so the matvec calls the C methods directly on row
+    lists built once per operator.  A matvec of the five certification
+    levels takes 1.42, 0.90, 0.72, 0.51 and 0.27 ms on those cosets, against
+    1.70, 1.05, 0.89, 0.62 and 0.33 ms through ``np.take`` and row-indexed
+    ``+=`` (medians of 15 interleaved rounds of 30 calls, 2 cores).
     :meth:`prefix` serves a leading part of the connection from the same
     factor rows without a copy.
     """
@@ -542,20 +590,24 @@ class CayleyOperator:
     ):
         subgroup = tuple(subgroup)
         subgroup_order = len(_require_quotient(slice_, subgroup))
+        identity = tuple(range(1, slice_.degree + 1))
         seen = set()
         for t in connection:
             if t.degree != slice_.degree:
                 raise ValueError(f"connection degree {t.degree} != slice degree {slice_.degree}")
-            if t.support() == frozenset():
+            if t.images == identity:
                 raise ValueError("the identity is not allowed in a connection set")
             if not slice_.contains(t):
                 raise ValueError(f"connection element {t!r} lies outside the vertex group")
             if t.images in seen:
                 raise ValueError(f"duplicate connection element {t!r}")
             seen.add(t.images)
-        _require_inverse_closed(connection, seen)
         self.slice = slice_
         self.connection = list(connection)
+        #: the image tuple of each element's inverse, in connection order:
+        #: computed once, for this check and that of every prefix
+        self._inverses = [_inverse_images(t.images) for t in self.connection]
+        _require_inverse_closed(self.connection, self._inverses)
         #: generators of the subgroup whose right cosets are the vertices
         self.subgroup = subgroup
         #: True when the vertices are right cosets of a nontrivial subgroup
@@ -563,7 +615,7 @@ class CayleyOperator:
         self.dim = slice_.order // subgroup_order
         self._factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._cosets: tuple[np.ndarray, np.ndarray] | None = None
-        self._plan: tuple[list[int], list[tuple[tuple[int, ...], list[int]]]] | None = None
+        self._plan: tuple[list[np.ndarray], list[tuple]] | None = None
 
     @property
     def valency(self) -> int:
@@ -581,10 +633,12 @@ class CayleyOperator:
         if not 0 <= count <= self.valency:
             raise ValueError(f"need 0 <= count <= {self.valency}, got count = {count}")
         connection = self.connection[:count]
-        _require_inverse_closed(connection, {t.images for t in connection})
+        inverses = self._inverses[:count]
+        _require_inverse_closed(connection, inverses)
         heads, tails, pairs = self._factor_rows()
         op = copy.copy(self)
         op.connection = connection
+        op._inverses = inverses
         op._factors = (heads, tails, pairs[:count])
         op._plan = None
         return op
@@ -604,13 +658,15 @@ class CayleyOperator:
             self._cosets = (lookup.representatives, lookup.vertex_of)
         return self._cosets
 
-    def _grouping(self) -> tuple[list[int], list[tuple[tuple[int, ...], list[int]]]]:
-        """The heads to gather, and the tails in use grouped by the slots of
-        their partners among the gathered heads, slot -1 standing for x itself:
-        one (slots, tails) pair per distinct slot list, tails ascending and
-        groups ordered by their first tail."""
+    def _grouping(self) -> tuple[list[np.ndarray], list[tuple]]:
+        """The rows of the heads to gather, ascending by head, and the tails in
+        use grouped by the slots of their partners among the gathered heads,
+        slot -1 standing for x itself: one (slots, tails, rows) triple per
+        distinct slot list, tails ascending with their rows, and groups ordered
+        by their first tail.  Built once per operator, so that a matvec indexes
+        no table."""
         if self._plan is None:
-            _, _, pairs = self._factor_rows()
+            heads, tails, pairs = self._factor_rows()
             used = sorted({head for head, _ in pairs.tolist() if head >= 0})
             slot = {head: i for i, head in enumerate(used)} | {-1: -1}
             partners: dict[int, list[int]] = {}
@@ -619,32 +675,36 @@ class CayleyOperator:
             sharing: dict[tuple[int, ...], list[int]] = {}
             for tail, slots in sorted(partners.items()):
                 sharing.setdefault(tuple(slots), []).append(tail)
-            self._plan = (used, list(sharing.items()))
+            self._plan = (
+                [heads[head] for head in used],
+                [(slots, shared, [tails[tail] for tail in shared]) for slots, shared in sharing.items()],
+            )
         return self._plan
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dim,):
             raise ValueError(f"expected a vector of length {self.dim}, got shape {x.shape}")
-        heads, tails, _ = self._factor_rows()
-        used, groups = self._grouping()
+        head_rows, groups = self._grouping()
         # row -1 holds x, the gather through the identity head
-        u = np.empty((len(used) + 1, self.dim), dtype=np.float64)
+        u = np.empty((len(head_rows) + 1, self.dim), dtype=np.float64)
         u[-1] = x
+        gathered = list(u)  # one view per row, reused by every partner sum
         # every entry is a rank below dim = len(x), so "clip" never clips; it
-        # skips the bounds check and the copy take() adds under mode="raise"
-        for i, head in enumerate(used):
-            np.take(x, heads[head], out=u[i], mode="clip")
+        # skips the bounds check and the copy take() adds under mode="raise";
+        # the method, like np.add with out=, skips numpy's Python-level wrapper
+        for row, out in zip(head_rows, gathered):
+            x.take(row, out=out, mode="clip")
         y = np.zeros(self.dim, dtype=np.float64)
         v = np.empty(self.dim, dtype=np.float64)
         buf = np.empty(self.dim, dtype=np.float64)
-        for slots, shared in groups:
-            np.copyto(v, u[slots[0]])
+        for slots, _, tail_rows in groups:
+            np.copyto(v, gathered[slots[0]])
             for i in slots[1:]:
-                v += u[i]
-            for tail in shared:
-                np.take(v, tails[tail], out=buf, mode="clip")
-                y += buf
+                np.add(v, gathered[i], out=v)
+            for row in tail_rows:
+                v.take(row, out=buf, mode="clip")
+                np.add(y, buf, out=y)
         return y
 
     def neighbors(self, vertex: int) -> list[int]:

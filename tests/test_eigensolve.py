@@ -8,6 +8,7 @@ spectrum comes from the character route.
 import functools
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from cayley_spectra.eigensolve import (
 )
 from cayley_spectra.errors import SizeLimitError, VerificationError
 from cayley_spectra.permutations import (
+    CayleyOperator,
     Permutation,
     _compose,
     _factor_rows,
@@ -281,6 +283,20 @@ def test_filtration_levels_are_prefixes_of_one_table():
         assert np.allclose(op.matvec(x), fresh.matvec(x), rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("n, length", [(7, 3), (7, 5), (8, 5)])
+def test_levels_take_their_prefix_counts_from_the_depths(n, length):
+    group = alternating_group(n)
+    cycles = enumerate_class_cycles(n, length)
+    connection, counts = eigensolve._levels(group, cycles)
+    assert connection == sorted(
+        (t for t in cycles if group.contains(t)), key=eigensolve._depth, reverse=True
+    )
+    assert counts == [len(t_filtration(connection, k)) for k in range(eigensolve.RECURSIVE_MAX_K + 1)]
+    for k, count in enumerate(counts):
+        # T_k is exactly the prefix: the members of depth >= k come first
+        assert connection[:count] == t_filtration(connection, k)
+
+
 def test_recursive_check_names_an_integer_mismatch(monkeypatch):
     exact = eigensolve.quotient_lambda2_recursive
     monkeypatch.setattr(
@@ -310,21 +326,32 @@ def test_alt8_levels_match_the_composed_table():
         assert np.allclose(op.matvec(x), expected, rtol=0, atol=1e-9)
 
 
-def test_alt8_levels_gather_each_factor_once(monkeypatch):
+def test_alt8_levels_gather_each_factor_once():
     group = alternating_group(8)
     operators = filtration_operators(group, enumerate_class_cycles(8, 5))
     x = np.random.default_rng(5).standard_normal(operators[0].dim)
-    gathers = []
+    matvec = CayleyOperator.matvec.__code__
+    gathers, factors = [], []
     for op in operators:
         op.matvec(x)  # the first call builds the factor rows and the grouping
         calls = []
-        take = np.take
-        with monkeypatch.context() as patch:
-            patch.setattr(np, "take", lambda *args, **kw: calls.append(1) or take(*args, **kw))
+
+        def count_gathers(frame, event, arg):
+            # ndarray.take is a C method, so a profile hook sees every call the matvec makes
+            if event == "c_call" and frame.f_code is matvec and arg.__name__ == "take":
+                calls.append(1)
+
+        sys.setprofile(count_gathers)
+        try:
             op.matvec(x)
+        finally:
+            sys.setprofile(None)
         gathers.append(len(calls))
+        _, _, pairs = op._factor_rows()
+        heads = {head for head in pairs[:, 0].tolist() if head >= 0}
+        factors.append(len(heads) + len(set(pairs[:, 1].tolist())))
     # one gather per distinct head and tail; one per element would be 1344, 840, 480, 240, 96
-    assert gathers == [174, 112, 112, 92, 56]
+    assert gathers == factors == [174, 112, 112, 92, 56]
 
 
 def test_alt8_levels_share_one_partner_sum_per_support():
@@ -332,17 +359,21 @@ def test_alt8_levels_share_one_partner_sum_per_support():
     operators = filtration_operators(group, enumerate_class_cycles(8, 5))
     sums, adds = [], []
     for op in operators:
-        _, _, pairs = op._factor_rows()
+        _, tail_table, pairs = op._factor_rows()
         tail_cycles = {}
         for t, (_, tail) in zip(op.connection, pairs.tolist()):
             tail_cycles[tail] = _split(t.cycles())[1]
         _, groups = op._grouping()
         sums.append(len(groups))
-        adds.append(sum(len(slots) - 1 for slots, _ in groups))
+        adds.append(sum(len(slots) - 1 for slots, _, _ in groups))
         # groups in order of their first tail, tails ascending inside a group
-        assert [tails[0] for _, tails in groups] == sorted(tails[0] for _, tails in groups)
-        assert [tail for _, tails in groups for tail in tails] == sorted(tail_cycles)
-        for _, tails in groups:
+        assert [tails[0] for _, tails, _ in groups] == sorted(tails[0] for _, tails, _ in groups)
+        assert [tail for _, tails, _ in groups for tail in tails] == sorted(tail_cycles)
+        for _, tails, rows in groups:
+            # the matvec gathers through views of the tails' own rows, prepared once
+            assert len(rows) == len(tails)
+            for tail, row in zip(tails, rows):
+                assert np.shares_memory(row, tail_table) and np.array_equal(row, tail_table[tail])
             # exactly the two orientations (c d e) and (c e d) of one support
             assert len(tails) == 2
             (first,), (second,) = (tail_cycles[tail] for tail in tails)

@@ -2,6 +2,7 @@
 runtime."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -91,9 +92,9 @@ def test_exact_modules_defer_dataclasses_and_csv():
     assert exact_imports_of(("dataclasses", "csv")) == []
 
 
-def run_python(*args, check=True):
+def run_python(*args, check=True, env=None):
     path = os.pathsep.join([str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ if env is None else env, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, check=check
     )
@@ -111,6 +112,69 @@ def test_cli_import_leaves_dataclasses_inspect_and_csv_unloaded():
         "print([m for m in ('dataclasses', 'inspect', 'csv') if m in sys.modules])",
     )
     assert out.stdout == "[]\n"
+
+
+#: imports the modules named in argv in turn and prints, as JSON, the process's
+#: thread count, whether os.environ is as it was, and every variable set or unset meanwhile
+BLAS_START = """
+import json, os, sys
+touched = set()
+putenv, unsetenv = os.putenv, os.unsetenv
+os.putenv = lambda key, value: touched.add(os.fsdecode(key)) or putenv(key, value)
+os.unsetenv = lambda key: touched.add(os.fsdecode(key)) or unsetenv(key)
+before = dict(os.environ)
+for name in sys.argv[1:]:
+    __import__(name)
+threads = len(os.listdir("/proc/self/task"))
+print(json.dumps({"threads": threads, "unchanged": dict(os.environ) == before, "touched": sorted(touched)}))
+"""
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_start(*modules, **variables) -> dict:
+    """BLAS_START's record for ``modules``, run with no thread variable set but ``variables``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    return json.loads(run_python("-c", BLAS_START, *modules, env=env | variables).stdout)
+
+
+needs_proc_tasks = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counts threads in Linux /proc/self/task"
+)
+
+
+@needs_proc_tasks
+@pytest.mark.parametrize("module", ["cayley_spectra.eigensolve", "cayley_spectra.permutations"])
+def test_array_modules_load_numpy_on_one_blas_thread(module):
+    # OpenBLAS reads the variable once, when numpy loads it; it is gone again after the import
+    plain = blas_start("numpy")
+    assert blas_start(module) == {
+        "threads": 1,
+        "unchanged": True,
+        "touched": sorted(set(plain["touched"]) | {"OPENBLAS_NUM_THREADS"}),
+    }
+
+
+@needs_proc_tasks
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_preset_blas_thread_count_is_kept(variable):
+    plain = blas_start("numpy", **{variable: "2"})
+    assert plain["unchanged"] and "OPENBLAS_NUM_THREADS" not in plain["touched"]
+    assert blas_start("cayley_spectra.eigensolve", **{variable: "2"}) == plain
+
+
+@needs_proc_tasks
+def test_numpy_loaded_first_keeps_its_blas_threads():
+    plain = blas_start("numpy")
+    assert plain["unchanged"] and "OPENBLAS_NUM_THREADS" not in plain["touched"]
+    assert blas_start("numpy", "cayley_spectra.eigensolve") == plain
+
+
+@needs_proc_tasks
+def test_package_import_leaves_the_environment_alone():
+    expected = {"threads": 1, "unchanged": True, "touched": []}
+    assert blas_start("cayley_spectra") == expected
+    assert blas_start("cayley_spectra.cli") == expected
 
 
 #: each exact record: module, name, field order, one instance's values and the

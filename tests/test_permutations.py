@@ -5,6 +5,7 @@ matrix assembled here by literal one-at-a-time composition.
 """
 
 import itertools
+import re
 from math import factorial
 
 import numpy as np
@@ -112,6 +113,19 @@ def test_class_cycles_against_exhaustive_filter():
         enumerated = enumerate_class_cycles(n, length)
         assert len(enumerated) == len(set(enumerated)) == len(brute)
         assert set(enumerated) == brute
+        # the order the Alt(8) certificate's bits depend on: supports ascending, then tail arrangements
+        assert enumerated == [
+            Permutation.from_cycles(n, [(support[0],) + tail])
+            for support in itertools.combinations(range(1, n + 1), length)
+            for tail in itertools.permutations(support[1:])
+        ]
+
+
+def test_sign_is_kept_and_agrees_with_the_inversion_count():
+    for p in symmetric_group(5).members():
+        expected = (-1) ** sum(a > b for a, b in itertools.combinations(p.images, 2))
+        assert p.sign() == p.sign() == expected  # the second call reads the kept sign
+        assert p.is_even() == (expected == 1) == alternating_group(5).contains(p)
 
 
 def test_class_cycles_inverse_closed():
@@ -316,16 +330,16 @@ def test_operator_images_of_point():
 def test_operator_validates_connection():
     s4 = symmetric_group(4)
     threes = enumerate_class_cycles(4, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="identity"):
         cayley_adjacency(s4, threes + [Permutation.identity(4)])
-    with pytest.raises(ValueError):
-        cayley_adjacency(s4, threes + threes[:1])  # duplicate
-    with pytest.raises(ValueError):
-        cayley_adjacency(s4, threes[:1])  # not inverse-closed
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate"):
+        cayley_adjacency(s4, threes + threes[:1])
+    with pytest.raises(ValueError, match="not inverse-closed: missing " + re.escape(repr(threes[0].inverse()))):
+        cayley_adjacency(s4, threes[:1])
+    with pytest.raises(ValueError, match="outside the vertex group"):
         cayley_adjacency(alternating_group(4), enumerate_class_cycles(4, 4))  # odd elements
-    with pytest.raises(ValueError):
-        cayley_adjacency(s4, enumerate_class_cycles(5, 3))  # degree mismatch
+    with pytest.raises(ValueError, match="degree"):
+        cayley_adjacency(s4, enumerate_class_cycles(5, 3))
 
 
 def test_operator_prefix_is_validated_and_shares_the_table():
@@ -340,6 +354,8 @@ def test_operator_prefix_is_validated_and_shares_the_table():
             op.prefix(bad)
     pair = op.prefix(2)
     assert pair.connection == op.connection[:2]
+    with pytest.raises(ValueError, match="inverse-closed"):
+        pair.prefix(1)  # a prefix checks its own slice of the kept inverses
     heads, tails, pairs = op._factor_rows()
     pair_heads, pair_tails, pair_pairs = pair._factor_rows()
     assert np.shares_memory(pair_heads, heads)
