@@ -6,6 +6,10 @@ f^2, closed forms for the fourteen low-dimension shapes, quotient matrices of
 the point-stabilizer coset partition, dense brute-force spectra, and a
 Lanczos certification pipeline for the filtered 5-cycle graphs on Alt(8).
 
+The reference routines that only the tests compare against (hook lengths,
+tableau counts, character tables, rim-hook cells, equitable-partition checks,
+vertex numbering) live in ``tests/oracles.py``, not here.
+
 The exact routes need no arrays. The names of the two array routes,
 ``eigensolve`` and ``permutations``, load on first use, so that importing the
 package does not import numpy.
@@ -13,21 +17,13 @@ package does not import numpy.
 
 from importlib import import_module
 
-from .characters import (
-    character_table,
-    character_table_csv,
-    conjugacy_class_size,
-    cycle_type_sign,
-    mn_character,
-)
+from .characters import mn_character
 from .errors import SizeLimitError, VerificationError
 from .quotient import (
     QuotientMatrix,
-    coset_cells,
     quotient_eigenvalues_gamma,
     quotient_lambda2_recursive,
     quotient_matrix_gamma,
-    verify_equitable,
 )
 from .spectra import (
     HypothesisFlags,
@@ -42,19 +38,14 @@ from .spectra import (
     hypothesis_check,
     in_asserted_regime,
     lambda2,
-    low_dimension_partitions,
     spectrum_to_csv,
     spectrum_to_json,
 )
 from .young import (
-    count_standard_tableaux,
     dimension,
     enumerate_partitions,
-    enumerate_rim_hooks,
     format_partition,
-    hook_lengths,
     parse_partition,
-    remove_rim_hook,
     transpose,
 )
 
@@ -64,7 +55,6 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(
         (
-            "MatrixOperator",
             "dense_spectrum",
             "extremal_eigenvalues",
             "five_cycle_lambda2_formula",
@@ -82,7 +72,6 @@ _LAZY = {
             "coset_count",
             "enumerate_class_cycles",
             "symmetric_group",
-            "t_filtration",
         ),
         "permutations",
     ),
@@ -103,7 +92,6 @@ __all__ = [
     "GroupSlice",
     "HypothesisFlags",
     "Lambda2",
-    "MatrixOperator",
     "Permutation",
     "QuotientMatrix",
     "SizeLimitError",
@@ -111,44 +99,32 @@ __all__ = [
     "VerificationError",
     "alternating_group",
     "cayley_adjacency",
-    "character_table",
-    "character_table_csv",
     "class_size",
     "closed_form_table1",
     "concrete_shape",
     "conjecture_check",
-    "conjugacy_class_size",
-    "coset_cells",
     "coset_count",
-    "count_standard_tableaux",
-    "cycle_type_sign",
     "dense_spectrum",
     "dimension",
     "eigenvalue_for",
     "enumerate_class_cycles",
     "enumerate_partitions",
-    "enumerate_rim_hooks",
     "extremal_eigenvalues",
     "five_cycle_lambda2_formula",
     "format_partition",
     "full_spectrum",
-    "hook_lengths",
     "hypothesis_check",
     "in_asserted_regime",
     "lambda2",
-    "low_dimension_partitions",
     "mn_character",
     "parse_partition",
     "quotient_eigenvalues_gamma",
     "quotient_lambda2_recursive",
     "quotient_matrix_gamma",
-    "remove_rim_hook",
     "spectrum_to_csv",
     "spectrum_to_json",
     "symmetric_group",
-    "t_filtration",
     "transpose",
-    "verify_equitable",
     "verify_recursive_5cycles",
     "__version__",
 ]

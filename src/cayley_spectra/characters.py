@@ -9,24 +9,11 @@ nothing is memoized: each call recomputes its character.
 
 from __future__ import annotations
 
-from math import factorial
-
 from .errors import SizeLimitError
 from .spectra import MAX_N_ENV_VAR, resolve_max_n
-from .young import (
-    Partition,
-    _bead_moves,
-    _clip,
-    beta_set,
-    enumerate_partitions,
-    format_partition,
-    validate_partition,
-)
+from .young import Partition, _bead_moves, _clip, beta_set, validate_partition
 
 CycleType = Partition
-
-#: p(10)^2 = 1764 exact entries; past this the table stops being a table
-CHARACTER_TABLE_LIMIT = 10
 
 
 def _mn(lam: Partition, tau: CycleType) -> int:
@@ -68,56 +55,3 @@ def _check_cap(n: int) -> None:
         raise SizeLimitError(
             f"mn_character is capped at n <= {bound} (override with {MAX_N_ENV_VAR}), got n = {shown}"
         )
-
-
-def centralizer_order(tau) -> int:
-    """|centralizer| of a permutation of cycle type ``tau``: prod l^m_l * m_l!."""
-    tau = validate_partition(tau)
-    order = 1
-    for length in set(tau):
-        mult = tau.count(length)
-        order *= length**mult * factorial(mult)
-    return order
-
-
-def conjugacy_class_size(tau) -> int:
-    tau = validate_partition(tau)
-    q, r = divmod(factorial(sum(tau)), centralizer_order(tau))
-    if r:  # the centralizer order always divides n!; anything else is a bug
-        raise ArithmeticError(f"centralizer order of {tau} does not divide {sum(tau)}!")
-    return q
-
-
-def cycle_type_sign(tau) -> int:
-    """Sign of any permutation of cycle type ``tau``: (-1)^(n - number of cycles)."""
-    tau = validate_partition(tau)
-    return -1 if (sum(tau) - len(tau)) % 2 else 1
-
-
-def character_table(n: int) -> list[list[int]]:
-    """Full character table of Sym(n): rows are shapes, columns are cycle types,
-    both in reverse-lexicographic order."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > CHARACTER_TABLE_LIMIT:
-        raise SizeLimitError(
-            f"character tables are capped at n <= {CHARACTER_TABLE_LIMIT}, got n = {n}"
-        )
-    shapes = enumerate_partitions(n)
-    return [[_mn(lam, tau) for tau in shapes] for lam in shapes]
-
-
-def character_table_csv(n: int) -> str:
-    """CSV export of :func:`character_table`: one header row of cycle types,
-    then one row per shape."""
-    import csv
-    import io
-
-    shapes = enumerate_partitions(n)
-    table = character_table(n)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["partition"] + [format_partition(tau) for tau in shapes])
-    for lam, row in zip(shapes, table):
-        writer.writerow([format_partition(lam)] + [str(v) for v in row])
-    return buf.getvalue()

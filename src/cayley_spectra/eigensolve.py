@@ -31,30 +31,10 @@ import numpy as np
 
 from .errors import SizeLimitError, VerificationError
 from .quotient import quotient_lambda2_recursive
-from .spectra import DEFAULT_SEED, DEFAULT_TOL, DENSE_ORDER_LIMIT, class_size
+from .spectra import DEFAULT_SEED, DEFAULT_TOL, DENSE_ORDER_LIMIT
 
 MAX_LANCZOS_ITERATIONS = 500
 INTEGRALITY_TOL = 1e-6
-
-
-class MatrixOperator:
-    """Operator protocol adapter around an explicit symmetric matrix."""
-
-    def __init__(self, matrix):
-        a = np.asarray(matrix, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        self._a = a
-        self.dim = a.shape[0]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._a @ x
-
-    def one_norm(self) -> float:
-        return float(np.abs(self._a).sum(axis=0).max())
-
-    def dense(self) -> np.ndarray:
-        return self._a.copy()
 
 
 @dataclass(frozen=True)
@@ -63,14 +43,10 @@ class DenseSpectrum:
     integers: tuple[int, ...] | None  # present when integrality was requested
 
 
-def dense_spectrum(source, assume_integral: bool = False) -> DenseSpectrum:
-    """All eigenvalues of a symmetric matrix or materializable operator,
+def dense_spectrum(op, assume_integral: bool = False) -> DenseSpectrum:
+    """All eigenvalues of a symmetric operator with a ``dense()`` matrix,
     descending.  With ``assume_integral`` every eigenvalue is rounded and the
     rounding error checked below 1e-8."""
-    if isinstance(source, np.ndarray):
-        op = MatrixOperator(source)
-    else:
-        op = source
     if op.dim > DENSE_ORDER_LIMIT:
         raise SizeLimitError(f"dense spectra are capped at order {DENSE_ORDER_LIMIT}, got {op.dim}")
     a = np.asarray(op.dense(), dtype=np.float64)
@@ -325,9 +301,9 @@ def _depth(t: Permutation) -> int:
 def _levels(group: GroupSlice, cycles: list[Permutation]) -> tuple[list[Permutation], list[int]]:
     """The members of ``cycles`` in ``group`` sorted stably by depth, deepest
     first, and for k = 0..RECURSIVE_MAX_K the length of the prefix that is
-    T_k ∩ group: t lies in T_k = ``t_filtration(cycles, k)`` exactly when its
-    depth is at least k, so each depth is computed once and no level scans
-    the supports again."""
+    T_k ∩ group: t lies in T_k, the members of ``cycles`` whose support
+    contains {1..k}, exactly when its depth is at least k, so each depth is
+    computed once and no level scans the supports again."""
     ranked = sorted(
         ((_depth(t), t) for t in cycles if group.contains(t)), key=lambda pair: pair[0], reverse=True
     )
@@ -337,9 +313,10 @@ def _levels(group: GroupSlice, cycles: list[Permutation]) -> tuple[list[Permutat
 
 def filtration_operators(group: GroupSlice, cycles: list[Permutation]) -> list[CayleyOperator]:
     """Operators of Cay(group, T_k ∩ group) for k = 0..RECURSIVE_MAX_K, where
-    T_k = ``t_filtration(cycles, k)``, on the right cosets of the subgroup
-    generated by RECURSIVE_SUBGROUP: an eighth of the vertices, every
-    distinct eigenvalue (see :func:`permutations._require_quotient`).  A
+    T_k holds the members of ``cycles`` whose support contains {1..k}, on the
+    right cosets of the subgroup generated by RECURSIVE_SUBGROUP: an eighth
+    of the vertices, every distinct eigenvalue (see
+    :func:`permutations._require_quotient`).  A
     coset vector and its lift to the group have the same relative residual,
     and ||M||_1 is still the valency, so a residual certificate means the
     same on either.

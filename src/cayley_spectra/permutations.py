@@ -180,9 +180,6 @@ class Permutation:
             return "()"
         return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cyc)
 
-    def one_line_string(self) -> str:
-        return " ".join(str(v) for v in self._images)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self._images == other._images
 
@@ -225,42 +222,6 @@ class GroupSlice:
         if perm.degree != self.degree:
             return False
         return perm.is_even() if self.even_only else True
-
-    def members(self) -> list[Permutation]:
-        """All members in lexicographic order of image tuples (degree <= 9)."""
-        return [Permutation(row) for row in (_member_matrix(self) + 1).tolist()]
-
-    def unrank(self, index: int) -> Permutation:
-        """The index-th member in lexicographic order, without enumerating the group.
-
-        Lexicographic permutations 2i and 2i+1 of Sym(degree) differ only in
-        their last two images, so an even-only slice keeps exactly one of each
-        pair: its index-th member is permutation 2i, or that one with the last
-        two images swapped.
-        """
-        if not 0 <= index < self.order:
-            raise ValueError(f"index {index} outside 0..{self.order - 1}")
-        remaining = list(range(1, self.degree + 1))
-        arrangement = 2 * index if self.even_only else index
-        images = []
-        for _ in range(self.degree):
-            slot, arrangement = divmod(arrangement, factorial(len(remaining) - 1))
-            images.append(remaining.pop(slot))
-        if not self.contains(Permutation(images)):
-            images[-2], images[-1] = images[-1], images[-2]
-        return Permutation(images)
-
-    def rank(self, perm: Permutation) -> int:
-        """Inverse of :func:`unrank`; requires membership."""
-        if not self.contains(perm):
-            raise ValueError(f"{perm!r} is not a member of {self}")
-        remaining = list(range(1, self.degree + 1))
-        index = 0
-        for image in perm.images:
-            slot = remaining.index(image)
-            index = index * len(remaining) + slot
-            remaining.pop(slot)
-        return index // 2 if self.even_only else index
 
 
 def _member_matrix(slice_: GroupSlice) -> np.ndarray:
@@ -318,14 +279,6 @@ def enumerate_class_cycles(n: int, m: int) -> list[Permutation]:
                 images[src - 1] = dst
             out.append(Permutation(images))
     return out
-
-
-def t_filtration(class_members: list[Permutation], k: int) -> list[Permutation]:
-    """Members whose support contains every point of {1..k} (the bottom points)."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    required = set(range(1, k + 1))
-    return [t for t in class_members if required <= t.support()]
 
 
 def coset_count(
@@ -536,8 +489,7 @@ def _compose(heads: np.ndarray, tails: np.ndarray, pairs: np.ndarray) -> np.ndar
     the index of t_j * g for every vertex g, as heads[head][tails[tail]].
 
     Full rows are composed only for :meth:`CayleyOperator.dense` and the
-    tests; the matvec applies the factors directly, and
-    :meth:`CayleyOperator.neighbors` composes the ranks of one vertex.
+    tests; the matvec applies the factors directly.
     """
     rows = np.empty((len(pairs), tails.shape[1]), dtype=tails.dtype)
     for j, (head, tail) in enumerate(pairs.tolist()):
@@ -614,7 +566,6 @@ class CayleyOperator:
         self.quotient = subgroup_order > 1
         self.dim = slice_.order // subgroup_order
         self._factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._cosets: tuple[np.ndarray, np.ndarray] | None = None
         self._plan: tuple[list[np.ndarray], list[tuple]] | None = None
 
     @property
@@ -648,15 +599,6 @@ class CayleyOperator:
         if self._factors is None:
             self._factors = _factor_rows(self.slice, self.connection, self.subgroup)
         return self._factors
-
-    def _coset_numbering(self) -> tuple[np.ndarray, np.ndarray]:
-        """(representatives, vertex_of) of :class:`_RankLookup` on a coset
-        operator, built on first use: only the conversions between vertices
-        and members need them, not the matvec."""
-        if self._cosets is None:
-            lookup = _RankLookup(self.slice, self.subgroup)
-            self._cosets = (lookup.representatives, lookup.vertex_of)
-        return self._cosets
 
     def _grouping(self) -> tuple[list[np.ndarray], list[tuple]]:
         """The rows of the heads to gather, ascending by head, and the tails in
@@ -707,17 +649,6 @@ class CayleyOperator:
                 np.add(y, buf, out=y)
         return y
 
-    def neighbors(self, vertex: int) -> list[int]:
-        """Sorted indices of t * g over the connection, g the vertex at ``vertex``
-        (on right cosets: t * g for any member g of the coset)."""
-        if not 0 <= vertex < self.dim:
-            raise ValueError(f"vertex {vertex} outside 0..{self.dim - 1}")
-        heads, tails, pairs = self._factor_rows()
-        ranks = tails[pairs[:, 1], vertex]
-        composed = pairs[:, 0] >= 0
-        ranks[composed] = heads[pairs[composed, 0], ranks[composed]]
-        return sorted(ranks.tolist())
-
     def dense(self) -> np.ndarray:
         if self.dim > DENSE_ORDER_LIMIT:
             raise SizeLimitError(
@@ -730,38 +661,6 @@ class CayleyOperator:
         if not np.array_equal(a, a.T):
             raise VerificationError("dense Cayley adjacency is not symmetric", dim=self.dim)
         return a
-
-    def index_of(self, perm: Permutation) -> int:
-        """Index of the vertex holding ``perm``: its rank, or its coset's index."""
-        rank = self.slice.rank(perm)
-        if not self.quotient:
-            return rank
-        return int(self._coset_numbering()[1][rank])
-
-    def vertex_at(self, index: int) -> Permutation:
-        """The member at ``index``; on right cosets the smallest member of the coset."""
-        if not self.quotient:
-            return self.slice.unrank(index)
-        if not 0 <= index < self.dim:
-            raise ValueError(f"index {index} outside 0..{self.dim - 1}")
-        return self.slice.unrank(int(self._coset_numbering()[0][index]))
-
-    def images_of(self, point: int) -> np.ndarray:
-        """sigma(point) for every vertex sigma, 1-based values.  On right cosets
-        g * h and g differ at the points h moves, so only a point that every
-        generator of the subgroup fixes has one image per coset."""
-        if not 1 <= point <= self.slice.degree:
-            raise ValueError(f"point {point} outside 1..{self.slice.degree}")
-        members = _member_matrix(self.slice)
-        if self.quotient:
-            mover = next((h for h in self.subgroup if not h.fixes(point)), None)
-            if mover is not None:
-                raise ValueError(
-                    f"point {point} is moved by {mover.cycle_string()}, so the members "
-                    "of a right coset send it to different images"
-                )
-            members = members[self._coset_numbering()[0]]
-        return members[:, point - 1].astype(np.int64) + 1
 
 
 def _require_quotient(slice_: GroupSlice, generators: Sequence[Permutation]) -> list[Permutation]:

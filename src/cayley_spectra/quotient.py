@@ -11,14 +11,10 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import SizeLimitError
 from .spectra import class_size
 
 if TYPE_CHECKING:
-    from .permutations import CayleyOperator, GroupSlice, Permutation
-
-#: vertex cap for explicit equitable-partition verification (|Sym(7)| = 5040)
-EQUITABLE_VERIFY_LIMIT = 5040
+    from .permutations import GroupSlice, Permutation
 
 
 class QuotientMatrix(NamedTuple):
@@ -26,18 +22,6 @@ class QuotientMatrix(NamedTuple):
     diagonal: int
     off_diagonal: int
     provenance: str
-
-    @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(self.diagonal if r == c else self.off_diagonal for c in range(self.order))
-            for r in range(self.order)
-        )
-
-    @property
-    def row_sums(self) -> tuple[int, ...]:
-        s = self.diagonal + (self.order - 1) * self.off_diagonal
-        return (s,) * self.order
 
     def to_csv(self) -> str:
         # every row repeats the same two integers: convert each one once
@@ -97,44 +81,3 @@ def quotient_lambda2_recursive(
     fixing = coset_count(class_members, slice_, fixes=k + 1)
     moving = coset_count(class_members, slice_, maps=(k + 2, k + 1))
     return fixing - moving
-
-
-def coset_cells(operator: CayleyOperator, point: int) -> list[list[int]]:
-    """Vertex indices grouped by the image of ``point`` — the point-stabilizer
-    coset partition."""
-    values = operator.images_of(point)
-    cells: dict[int, list[int]] = {}
-    for vertex, value in enumerate(values):
-        cells.setdefault(int(value), []).append(vertex)
-    return [cells[v] for v in sorted(cells)]
-
-
-def verify_equitable(operator: CayleyOperator, cells: list[list[int]]) -> bool:
-    """Explicitly check that every vertex of a cell has the same number of
-    neighbors in every other cell."""
-    import numpy as np
-
-    if operator.dim > EQUITABLE_VERIFY_LIMIT:
-        raise SizeLimitError(
-            f"equitable verification is capped at {EQUITABLE_VERIFY_LIMIT} vertices, "
-            f"got {operator.dim}"
-        )
-    cell_of = np.full(operator.dim, -1, dtype=np.int64)
-    for i, cell in enumerate(cells):
-        for v in cell:
-            if not 0 <= v < operator.dim or cell_of[v] != -1:
-                raise ValueError("cells must partition the vertex set")
-            cell_of[v] = i
-    if (cell_of == -1).any():
-        raise ValueError("cells must cover the vertex set")
-    for i, cell in enumerate(cells):
-        reference: list[int] | None = None
-        for v in cell:
-            counts = [0] * len(cells)
-            for nb in operator.neighbors(v):
-                counts[cell_of[nb]] += 1
-            if reference is None:
-                reference = counts
-            elif counts != reference:
-                return False
-    return True

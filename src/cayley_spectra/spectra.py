@@ -332,15 +332,6 @@ def in_asserted_regime(n: int, k: int) -> bool:
     return 3 * k + 1 < n or k <= 1
 
 
-def low_dimension_partitions(n: int) -> list[Partition]:
-    """The fourteen concrete shapes at n (those valid at this n, deduplicated)."""
-    out: dict[Partition, None] = {}
-    for shape_id, rule in TABLE1_SHAPES.items():
-        if n >= rule.min_n:
-            out[validate_partition(rule.build(n))] = None
-    return list(out)
-
-
 # ---------------------------------------------------------------------------
 # predicate checks and the lambda2 = (k-1)/(n-1) * valency sweep
 

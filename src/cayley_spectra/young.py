@@ -1,12 +1,9 @@
-"""Integer partitions, Young diagrams, hook lengths, dimensions, and rim hooks.
+"""Integer partitions, their conjugates, dimensions, and rim hooks.
 
 Partitions come from the iterative ZS1 generator, dimensions from
 Frobenius' beta-set formula, and rim hooks from one bead rule on the abacus,
 :func:`_bead_moves`, which the character and eigenvalue routines share.
 Everything is computed afresh on every call; nothing is memoized.
-
-Diagram coordinates are 1-based ``(row, column)`` pairs in the English
-convention: row 1 is the longest row and sits on top.
 """
 
 from __future__ import annotations
@@ -16,15 +13,8 @@ from collections.abc import Iterator
 from itertools import combinations, starmap
 from math import factorial, prod
 from operator import sub
-from typing import NamedTuple
-
-from .errors import SizeLimitError
 
 Partition = tuple[int, ...]
-
-#: cap for the exhaustive standard-tableau filler; the enumeration walks one
-#: node per partial filling, so it grows with f^lambda
-TABLEAU_ENUMERATION_LIMIT = 12
 
 
 def validate_partition(parts) -> Partition:
@@ -108,16 +98,6 @@ def transpose(lam) -> Partition:
     return _conjugate(validate_partition(lam))
 
 
-def hook_lengths(lam) -> list[list[int]]:
-    """Hook length of every cell, as a row-by-row grid."""
-    lam = validate_partition(lam)
-    conj = _conjugate(lam)
-    return [
-        [(lam[r] - c - 1) + (conj[c] - r - 1) + 1 for c in range(lam[r])]
-        for r in range(len(lam))
-    ]
-
-
 def beta_set(lam: Partition) -> list[int]:
     """Bead positions of ``lam``: row r (0-based) of an r-row shape carries the
     bead lam[r] + rows-1-r (James & Kerber 1981, 2.7)."""
@@ -144,53 +124,6 @@ def dimension(lam) -> int:
     return _dimension(validate_partition(lam))
 
 
-def count_standard_tableaux(lam) -> int:
-    """Count standard tableaux by exhaustively placing 1..n cell by cell.
-
-    Independent of :func:`dimension`: no hook lengths, just backtracking over
-    all fillings whose rows and columns increase.  Capped at n <= 12.
-    """
-    lam = validate_partition(lam)
-    n = sum(lam)
-    if n > TABLEAU_ENUMERATION_LIMIT:
-        raise SizeLimitError(
-            f"exhaustive tableau enumeration is capped at n <= {TABLEAU_ENUMERATION_LIMIT}, got n = {n}"
-        )
-    if n == 0:
-        return 1
-    fill = [0] * len(lam)  # cells already occupied in each row
-
-    def place(value: int) -> int:
-        if value > n:
-            return 1
-        total = 0
-        for r, used in enumerate(fill):
-            # next free cell of row r is (r, used); legal if the row has room
-            # and the cell above is already filled
-            if used < lam[r] and (r == 0 or fill[r - 1] > used):
-                fill[r] += 1
-                total += place(value + 1)
-                fill[r] -= 1
-        return total
-
-    return place(1)
-
-
-class RimHook(NamedTuple):
-    """A border strip: an edge-connected skew diagram containing no 2x2 block.
-
-    ``cells`` are ordered from the southwest-most cell; each step moves one
-    cell up or one cell right.  ``leg_length`` is (number of rows spanned) - 1.
-    """
-
-    cells: tuple[tuple[int, int], ...]
-    leg_length: int
-
-    @property
-    def length(self) -> int:
-        return len(self.cells)
-
-
 def _bead_moves(beads, length: int) -> Iterator[tuple[int, int]]:
     """Each rim hook of this length as a bead move (b, b - length): bead b moves
     to a free, non-negative position (James & Kerber 1981, 2.7).  ``beads`` is
@@ -200,44 +133,6 @@ def _bead_moves(beads, length: int) -> Iterator[tuple[int, int]]:
         target = b - length
         if target >= 0 and target not in beads:
             yield b, target
-
-
-def enumerate_rim_hooks(lam, length: int) -> tuple[RimHook, ...]:
-    """All rim hooks of the given length removable from ``lam``.
-
-    Deterministic order, induced by the reverse-lexicographic order of the
-    leftover partition.  ``length`` must be at least 1 (a rim hook is a
-    non-empty strip); lengths exceeding |lam| simply yield nothing.
-    """
-    lam = validate_partition(lam)
-    if length < 1:
-        raise ValueError("a rim hook has length at least 1")
-    rows = len(lam)
-    beads = beta_set(lam)
-    hooks = []
-    # bottom row first: a lower top row leaves a lexicographically larger leftover
-    for b, target in _bead_moves(beads[::-1], length):
-        moved = sorted([x for x in beads if x != b] + [target], reverse=True)
-        # each row past its leftover length, bottom row up, left to right within a row
-        cells = tuple(
-            (r + 1, c + 1)
-            for r in reversed(range(rows))
-            for c in range(moved[r] - (rows - 1 - r), lam[r])
-        )
-        hooks.append(RimHook(cells=cells, leg_length=len({r for r, _ in cells}) - 1))
-    return tuple(hooks)
-
-
-def remove_rim_hook(lam, hook: RimHook) -> Partition:
-    """Partition left after removing ``hook``; rejects hooks not on the border of ``lam``."""
-    lam = validate_partition(lam)
-    if hook not in enumerate_rim_hooks(lam, hook.length):
-        raise ValueError(f"{hook} is not a rim hook of {lam}")
-    rest = list(lam)
-    for r, _ in hook.cells:
-        rest[r - 1] -= 1
-    # a partition's zero parts can only trail, so dropping them all is safe
-    return tuple(p for p in rest if p)
 
 
 _PART_TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")

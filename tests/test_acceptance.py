@@ -14,7 +14,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from cayley_spectra.characters import conjugacy_class_size, mn_character
+from cayley_spectra.characters import mn_character
 from cayley_spectra.cli import main as cli_main
 from cayley_spectra.eigensolve import (
     dense_spectrum,
@@ -26,7 +26,6 @@ from cayley_spectra.permutations import (
     enumerate_class_cycles,
     symmetric_group,
 )
-from cayley_spectra.quotient import coset_cells, verify_equitable
 from cayley_spectra.spectra import (
     TABLE1_SHAPES,
     class_size,
@@ -36,12 +35,8 @@ from cayley_spectra.spectra import (
     full_spectrum,
     lambda2,
 )
-from cayley_spectra.young import (
-    dimension,
-    enumerate_partitions,
-    enumerate_rim_hooks,
-    transpose,
-)
+from cayley_spectra.young import dimension, enumerate_partitions, transpose
+from oracles import conjugacy_class_size, coset_cells, enumerate_rim_hooks, verify_equitable
 
 
 @contextmanager

@@ -6,8 +6,6 @@ formula on the identity column, and the two classical orthogonality relations
 weighted by brute-counted class sizes.
 """
 
-import csv
-import io
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -16,23 +14,17 @@ from math import factorial
 
 import pytest
 
-from cayley_spectra.characters import (
-    CHARACTER_TABLE_LIMIT,
-    character_table,
-    character_table_csv,
-    centralizer_order,
-    conjugacy_class_size,
-    cycle_type_sign,
-    mn_character,
-)
+from cayley_spectra.characters import mn_character
 from cayley_spectra.errors import SizeLimitError
 from cayley_spectra.spectra import DEFAULT_MAX_N, MAX_N_ENV_VAR, _eigenvalue, class_size
-from cayley_spectra.young import (
-    dimension,
-    enumerate_partitions,
+from cayley_spectra.young import dimension, enumerate_partitions, transpose
+from oracles import (
+    centralizer_order,
+    character_table,
+    conjugacy_class_size,
+    cycle_type_sign,
     enumerate_rim_hooks,
     remove_rim_hook,
-    transpose,
 )
 
 
@@ -197,24 +189,6 @@ def test_character_table_n3():
         [-1, 0, 2],
         [1, -1, 1],
     ]
-
-
-def test_character_table_cap():
-    with pytest.raises(SizeLimitError):
-        character_table(CHARACTER_TABLE_LIMIT + 1)
-
-
-def test_character_table_csv_round_trip():
-    text = character_table_csv(4)
-    rows = list(csv.reader(io.StringIO(text)))
-    header = rows[0]
-    assert header[0] == "partition"
-    types = enumerate_partitions(4)
-    assert header[1:] == [",".join(map(str, t)) for t in types]
-    table = character_table(4)
-    for row, lam, values in zip(rows[1:], types, table):
-        assert row[0] == ",".join(map(str, lam))
-        assert [int(x) for x in row[1:]] == values
 
 
 def test_thread_safety_smoke():

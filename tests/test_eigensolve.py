@@ -18,7 +18,6 @@ from cayley_spectra import eigensolve
 from cayley_spectra.eigensolve import (
     DEFAULT_SEED,
     RECURSIVE_SUBGROUP,
-    MatrixOperator,
     dense_spectrum,
     extremal_eigenvalues,
     filtration_operators,
@@ -30,13 +29,14 @@ from cayley_spectra.permutations import (
     Permutation,
     _compose,
     _factor_rows,
+    _RankLookup,
     _split,
     alternating_group,
     cayley_adjacency,
     enumerate_class_cycles,
     symmetric_group,
-    t_filtration,
 )
+from oracles import MatrixOperator, members, t_filtration
 
 K4 = np.ones((4, 4)) - np.eye(4)
 
@@ -53,7 +53,7 @@ def gamma51():
 
 
 def test_dense_spectrum_k4():
-    d = dense_spectrum(K4, assume_integral=True)
+    d = dense_spectrum(MatrixOperator(K4), assume_integral=True)
     assert list(d.integers) == [3, -1, -1, -1]
     assert np.allclose(d.values, [3, -1, -1, -1])
 
@@ -65,19 +65,19 @@ def test_dense_spectrum_gamma31():
 
 
 def test_dense_spectrum_descending_without_rounding():
-    d = dense_spectrum(np.diag([0.5, -0.25, 2.0]))
+    d = dense_spectrum(MatrixOperator(np.diag([0.5, -0.25, 2.0])))
     assert d.integers is None
     assert np.allclose(d.values, [2.0, 0.5, -0.25])
 
 
 def test_dense_spectrum_integrality_failure():
     with pytest.raises(VerificationError):
-        dense_spectrum(np.diag([0.5, 0.25]), assume_integral=True)
+        dense_spectrum(MatrixOperator(np.diag([0.5, 0.25])), assume_integral=True)
 
 
 def test_dense_spectrum_order_cap():
     with pytest.raises(SizeLimitError):
-        dense_spectrum(np.eye(1001))
+        dense_spectrum(MatrixOperator(np.eye(1001)))
 
 
 def test_extremal_k4():
@@ -105,6 +105,23 @@ def test_extremal_seed_independent_result():
     b = extremal_eigenvalues(gamma51(), count=2, seed=12345)
     assert a.integers == b.integers
     assert np.allclose(a.values, b.values, atol=1e-7)
+
+
+def test_extremal_returns_two_values_by_default():
+    res = extremal_eigenvalues(MatrixOperator(K4))
+    assert len(res.values) == len(res.residuals) == 2
+    assert res.integers == (3, -1)
+
+
+def test_extremal_accepts_tol_of_float64_eps():
+    # eps is the smallest tolerance accepted; the run need not converge to it
+    res = extremal_eigenvalues(MatrixOperator(K4), count=2, tol=np.finfo(np.float64).eps)
+    assert res.tol == np.finfo(np.float64).eps
+
+
+def test_extremal_accepts_a_budget_equal_to_count():
+    res = extremal_eigenvalues(MatrixOperator(K4), count=2, max_iterations=2)
+    assert res.iterations == 2 and len(res.values) == 2
 
 
 def test_extremal_reports_non_convergence():
@@ -405,7 +422,7 @@ def test_alt8_coset_matvec_lifts_to_the_full_matvec_bit_for_bit():
     group = alternating_group(8)
     operators = filtration_operators(group, enumerate_class_cycles(8, 5))
     full = cayley_adjacency(group, operators[0].connection)
-    lift = operators[0]._coset_numbering()[1]
+    lift = _RankLookup(group, ALT8_SUBGROUP).vertex_of
     assert np.bincount(lift).tolist() == [8] * operators[0].dim
     x = np.random.default_rng(13).standard_normal(operators[0].dim)
     for op in operators:
@@ -442,8 +459,7 @@ def klein_placement(group, connection, klein):
     number elements[j, c] of (1, a, b, ab).  Composed one at a time."""
     a, b = klein
     elements = [Permutation.identity(group.degree), a, b, a * b]
-    members = group.members()
-    smallest = sorted({min(g * h for h in elements) for g in members})
+    smallest = sorted({min(g * h for h in elements) for g in members(group)})
     place = {(r * h).images: (c, i) for c, r in enumerate(smallest) for i, h in enumerate(elements)}
     found = [
         [place[tuple(t.images[v - 1] for v in r.images)] for r in smallest] for t in connection

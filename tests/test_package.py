@@ -4,6 +4,7 @@ runtime."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -15,6 +16,7 @@ import cayley_spectra
 
 PACKAGE_DIR = Path(cayley_spectra.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_no_assert_statements_in_package():
@@ -43,6 +45,50 @@ def test_no_memo_tables_in_package():
         and ast.unparse(node) in ("functools.cache", "functools.lru_cache")
     ]
     assert found == []
+
+
+def defined_names(tree):
+    """The names that a module's top-level statements define."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (target.id for target in targets if isinstance(target, ast.Name))
+
+
+def referenced_names(tree):
+    """Every name that code in ``tree`` reads, imports or takes as an attribute;
+    docstrings and comments are no code, so they do not count."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def readme_library_block():
+    """The Python code block of the README's Library section."""
+    text = README.read_text(encoding="utf-8")
+    return re.search(r"^## Library\n.*?```python\n(.*?)```", text, re.S | re.M).group(1)
+
+
+def test_every_export_runs_in_the_package_or_is_documented():
+    # a name that only the tests call is a test oracle: it belongs in tests/oracles.py
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    home = {name: module for module, tree in trees.items() for name in defined_names(tree)}
+    used = {module: set(referenced_names(tree)) for module, tree in trees.items()}
+    library = readme_library_block()
+    idle = [
+        name
+        for name in cayley_spectra.__all__
+        if name != "__version__"  # package metadata, read by no code
+        and not any(name in used[m] for m in trees if m not in (home[name], "__init__"))
+        and not re.search(rf"\b{name}\b", library)
+    ]
+    assert idle == []
 
 
 #: modules that the exact routes import; they must not load numpy when imported
@@ -180,8 +226,6 @@ def test_package_import_leaves_the_environment_alone():
 #: each exact record: module, name, field order, one instance's values and the
 #: repr that instance had when the records were frozen dataclasses
 RECORDS = [
-    ("young", "RimHook", ("cells", "leg_length"), (((2, 1), (1, 1)), 1),
-     "RimHook(cells=((2, 1), (1, 1)), leg_length=1)"),
     ("spectra", "SpectrumEntry", ("partition", "eigenvalue", "multiplicity"), ((3, 1), 1, 9),
      "SpectrumEntry(partition=(3, 1), eigenvalue=1, multiplicity=9)"),
     ("spectra", "Lambda2", ("value", "witnesses"), (6, ((4, 1),)),

@@ -18,7 +18,6 @@ from cayley_spectra.eigensolve import dense_spectrum
 from cayley_spectra.errors import SizeLimitError, VerificationError
 from cayley_spectra.permutations import (
     DENSE_ORDER_LIMIT,
-    CayleyOperator,
     GroupSlice,
     Permutation,
     _compose,
@@ -31,7 +30,16 @@ from cayley_spectra.permutations import (
     coset_count,
     enumerate_class_cycles,
     symmetric_group,
+)
+from oracles import (
+    closure,
+    images_of,
+    index_of,
+    members,
+    neighbors,
+    numbering,
     t_filtration,
+    vertex_at,
 )
 
 perm_images = st.integers(min_value=1, max_value=7).flatmap(
@@ -65,7 +73,6 @@ def test_from_cycles_and_parse():
     assert Permutation.parse("(1 2 3)(4 5)") == p
     assert Permutation.parse("2 3 1 5 4") == p
     assert p.cycle_string() == "(1 2 3)(4 5)"
-    assert p.one_line_string() == "2 3 1 5 4"
     assert Permutation.parse("()", degree=3) == Permutation.identity(3)
 
 
@@ -83,7 +90,7 @@ def test_parse_rejects_malformed():
 def test_parse_round_trips(images):
     p = Permutation(tuple(images))
     assert Permutation.parse(p.cycle_string(), degree=p.degree) == p
-    assert Permutation.parse(p.one_line_string()) == p
+    assert Permutation.parse(" ".join(map(str, images))) == p
     assert (p * p.inverse()) == Permutation.identity(p.degree)
 
 
@@ -108,7 +115,7 @@ def test_class_cycles_against_exhaustive_filter():
     for n, length in ((4, 3), (5, 4), (5, 3), (6, 5)):
         expected_type = (length,) + (1,) * (n - length)
         brute = {
-            p for p in symmetric_group(n).members() if p.cycle_type() == expected_type
+            p for p in members(symmetric_group(n)) if p.cycle_type() == expected_type
         }
         enumerated = enumerate_class_cycles(n, length)
         assert len(enumerated) == len(set(enumerated)) == len(brute)
@@ -122,7 +129,7 @@ def test_class_cycles_against_exhaustive_filter():
 
 
 def test_sign_is_kept_and_agrees_with_the_inversion_count():
-    for p in symmetric_group(5).members():
+    for p in members(symmetric_group(5)):
         expected = (-1) ** sum(a > b for a, b in itertools.combinations(p.images, 2))
         assert p.sign() == p.sign() == expected  # the second call reads the kept sign
         assert p.is_even() == (expected == 1) == alternating_group(5).contains(p)
@@ -186,6 +193,11 @@ def test_slice_orders():
     assert alternating_group(4).order == 12
     assert GroupSlice(1).order == 1
     assert GroupSlice(2, even_only=True).order == 1
+    # past the member-table cap the order is still known, but no member table is built
+    assert symmetric_group(12).order == 2 * alternating_group(12).order == factorial(12)
+    for big in (symmetric_group(12), alternating_group(12)):
+        with pytest.raises(SizeLimitError, match="capped at degree 9"):
+            _member_matrix(big)
 
 
 def test_slice_validation():
@@ -200,7 +212,7 @@ def test_members_sorted_unique_and_contained():
         symmetric_group(5),
         alternating_group(5),
     ):
-        ms = slice_.members()
+        ms = members(slice_)
         assert len(ms) == slice_.order
         assert ms == sorted(ms)
         assert len(set(ms)) == len(ms)
@@ -208,69 +220,17 @@ def test_members_sorted_unique_and_contained():
 
 
 def test_alternating_members_are_even():
-    assert all(p.is_even() for p in alternating_group(5).members())
-
-
-def test_rank_unrank_round_trip():
-    # degree 1..7, full and even
-    for slice_ in [GroupSlice(n, even_only=even) for n in range(1, 8) for even in (False, True)]:
-        members = slice_.members()
-        for index, p in enumerate(members):
-            assert slice_.unrank(index) == p
-            assert slice_.rank(p) == index
-
-
-def test_unrank_range_check():
-    with pytest.raises(ValueError):
-        symmetric_group(3).unrank(6)
-    with pytest.raises(ValueError):
-        symmetric_group(3).unrank(-1)
-
-
-def test_rank_requires_membership():
-    with pytest.raises(ValueError):
-        alternating_group(3).rank(Permutation((2, 1, 3)))
-
-
-def test_unrank_avoids_materialization():
-    big = GroupSlice(12)  # order 12! = 479001600, past the member-table cap
-    assert big.order == factorial(12)
-    first = big.unrank(0)
-    assert first == Permutation.identity(12)
-    assert big.rank(big.unrank(17)) == 17
-    last = big.unrank(big.order - 1)
-    assert last.images == tuple(range(12, 0, -1))
-    assert big.rank(last) == big.order - 1
-    with pytest.raises(SizeLimitError):
-        big.members()
-
-
-def test_alternating_unrank_avoids_materialization():
-    big = alternating_group(12)  # order 12!/2, past the member-table cap
-    assert big.order == factorial(12) // 2
-    assert big.unrank(0) == Permutation.identity(12)
-    # lexicographic members 2 and 3 of Sym(12) end 11,10,12 (odd) and 11,12,10
-    assert big.unrank(1).images == (*range(1, 10), 11, 12, 10)
-    last = big.unrank(big.order - 1)  # the reversal has 66 inversions, so it is even
-    assert last.images == tuple(range(12, 0, -1))
-    indices = [0, 1, 2, 17, 10**6, big.order // 2, big.order - 2, big.order - 1]
-    members = [big.unrank(i) for i in indices]
-    assert all(p.is_even() for p in members)
-    assert [p.images for p in members] == sorted(p.images for p in members)
-    assert len({p.images for p in members}) == len(members)
-    assert [big.rank(p) for p in members] == indices
-    with pytest.raises(SizeLimitError):
-        big.members()
+    assert all(p.is_even() for p in members(alternating_group(5)))
 
 
 # --- Cayley operator ------------------------------------------------------
 
 
 def brute_adjacency(slice_, connection):
-    members = slice_.members()
-    index = {p: i for i, p in enumerate(members)}
-    a = np.zeros((len(members), len(members)), dtype=np.int64)
-    for j, g in enumerate(members):
+    vertices = members(slice_)
+    index = {p: i for i, p in enumerate(vertices)}
+    a = np.zeros((len(vertices), len(vertices)), dtype=np.int64)
+    for j, g in enumerate(vertices):
         for t in connection:
             a[index[t * g], j] += 1
     return a
@@ -302,29 +262,27 @@ def test_operator_neighbors_and_matvec():
         with pytest.raises(ValueError, match="length"):
             op.matvec(bad)
     assert np.array_equal(op.matvec(np.arange(op.dim)), dense @ np.arange(op.dim))
-    members = slice_.members()
+    vertices = members(slice_)
     for v in (0, 5, 23):
-        expected = sorted(op.index_of(t * members[v]) for t in connection)
-        assert list(op.neighbors(v)) == expected
+        expected = sorted(index_of(op, t * vertices[v]) for t in connection)
+        assert neighbors(op, v) == expected
         assert np.flatnonzero(dense[:, v]).tolist() == expected
     for bad in (-1, op.dim):  # -1 would otherwise read the last vertex's row
         with pytest.raises(ValueError, match=f"vertex {bad} outside 0..{op.dim - 1}"):
-            op.neighbors(bad)
+            neighbors(op, bad)
 
 
 def test_operator_vertex_indexing():
     slice_ = alternating_group(5)
     op = cayley_adjacency(slice_, enumerate_class_cycles(5, 5))
     for v in (0, 13, 59):
-        assert op.index_of(op.vertex_at(v)) == v
+        assert index_of(op, vertex_at(op, v)) == v
 
 
 def test_operator_images_of_point():
     slice_ = symmetric_group(4)
     op = cayley_adjacency(slice_, enumerate_class_cycles(4, 3))
-    members = slice_.members()
-    col = op.images_of(1)
-    assert col.tolist() == [p(1) for p in members]
+    assert images_of(op, 1) == [p(1) for p in members(slice_)]
 
 
 def test_operator_validates_connection():
@@ -426,11 +384,11 @@ def test_member_matrix_matches_itertools_oracle(slice_):
 
 @pytest.mark.parametrize("slice_", TABLE_SLICES, ids=repr)
 def test_neighbor_table_matches_searchsorted_oracle(slice_):
-    members = slice_.members()
+    vertices = members(slice_)
     # every member of the small slices; a spread of members elsewhere (each
     # one composes with every vertex, so each row checks every rank)
-    step = max(1, len(members) // 97)
-    connection = members[::step] + members[-1:]
+    step = max(1, len(vertices) // 97)
+    connection = vertices[::step] + vertices[-1:]
     table = _compose(*_factor_rows(slice_, connection))
     assert table.dtype == (np.uint8 if slice_.order <= 256 else np.uint16)
     assert np.array_equal(table, searchsorted_table(slice_, connection))
@@ -438,7 +396,7 @@ def test_neighbor_table_matches_searchsorted_oracle(slice_):
 
 def _of_type(slice_, cycle_type, count):
     """About ``count`` members of ``slice_`` of the given cycle type, spread over the class."""
-    found = [p for p in slice_.members() if p.cycle_type() == cycle_type]
+    found = [p for p in members(slice_) if p.cycle_type() == cycle_type]
     return found[:: max(1, len(found) // count)]
 
 
@@ -492,7 +450,7 @@ def test_neighbor_table_rejects_an_element_outside_the_slice():
 
 
 def _members_of_type(slice_, cycle_type):
-    return [p for p in slice_.members() if p.cycle_type() == cycle_type]
+    return [p for p in members(slice_) if p.cycle_type() == cycle_type]
 
 
 @pytest.mark.parametrize(
@@ -529,26 +487,14 @@ def test_factored_matvec_equals_the_dense_product(slice_, connection):
 # --- right cosets of a subgroup ----------------------------------------------
 
 
-def closure(generators, degree):
-    """Every product of the generators, by repeated multiplication until nothing is new."""
-    elements = {Permutation.identity(degree)}
-    while True:
-        grown = elements | {g * h for g in elements for h in generators}
-        if grown == elements:
-            return sorted(elements)
-        elements = grown
-
-
 def brute_schreier(slice_, connection, subgroup):
     """Adjacency of the right cosets gH, assembled one composition at a time:
     entry (c', c) counts the t with t * g in c', g the smallest member of c."""
-    elements = closure(subgroup, slice_.degree)
-    least = {g: min(g * h for h in elements) for g in slice_.members()}
-    index = {g: i for i, g in enumerate(sorted(set(least.values())))}
-    a = np.zeros((len(index), len(index)), dtype=np.int64)
-    for g, j in index.items():
+    vertices, index = numbering(slice_, tuple(subgroup))
+    a = np.zeros((len(vertices), len(vertices)), dtype=np.int64)
+    for j, g in enumerate(vertices):
         for t in connection:
-            a[index[least[t * g]], j] += 1
+            a[index[t * g], j] += 1
     return a
 
 
@@ -603,7 +549,7 @@ def test_the_trivial_subgroup_is_the_full_graph():
         op = cayley_adjacency(slice_, connection, subgroup)
         assert not op.quotient and op.dim == slice_.order
         assert np.array_equal(op.dense(), brute_adjacency(slice_, connection))
-        assert op.images_of(4).tolist() == [g(4) for g in slice_.members()]
+        assert images_of(op, 4) == [g(4) for g in members(slice_)]
 
 
 @pytest.mark.parametrize("subgroup", [("(3 4)(5 6)",), KLEIN6], ids=["<z>", "Klein"])
@@ -614,27 +560,27 @@ def test_coset_operator_answers_in_coset_numbering(subgroup):
     connection = enumerate_class_cycles(6, 5)
     op = cayley_adjacency(slice_, connection, subgroup)
     full = cayley_adjacency(slice_, connection)
-    vertices = [op.vertex_at(i) for i in range(op.dim)]
+    vertices = [vertex_at(op, i) for i in range(op.dim)]
     # each coset is numbered by its smallest member, in lexicographic order
     assert vertices == sorted(vertices)
-    assert vertices == sorted({min(g * h for h in elements) for g in slice_.members()})
+    assert vertices == sorted({min(g * h for h in elements) for g in members(slice_)})
     for i, g in enumerate(vertices):
-        assert [op.index_of(g * h) for h in elements] == [i] * len(elements)
-        expected = sorted(op.index_of(t * g) for t in connection)
+        assert [index_of(op, g * h) for h in elements] == [i] * len(elements)
+        expected = sorted(index_of(op, t * g) for t in connection)
         for h in elements:
-            assert op.neighbors(i) == expected == sorted(op.index_of(t * g * h) for t in connection)
+            assert neighbors(op, i) == expected == sorted(index_of(op, t * g * h) for t in connection)
     # never a full-group answer: the indices of the operator on all of Alt(6) differ
-    assert [op.index_of(g) for g in vertices] != [full.index_of(g) for g in vertices]
+    assert [index_of(op, g) for g in vertices] != [index_of(full, g) for g in vertices]
     for point in (1, 2):  # the subgroup fixes these: one image per coset
-        assert op.images_of(point).tolist() == [g(point) for g in vertices]
+        assert images_of(op, point) == [g(point) for g in vertices]
     for point in (3, 4, 5, 6):
         with pytest.raises(ValueError, match=f"point {point} is moved by"):
-            op.images_of(point)
+            images_of(op, point)
     for bad in (-1, op.dim):
         with pytest.raises(ValueError, match=f"index {bad} outside 0..{op.dim - 1}"):
-            op.vertex_at(bad)
+            vertex_at(op, bad)
         with pytest.raises(ValueError, match=f"vertex {bad} outside 0..{op.dim - 1}"):
-            op.neighbors(bad)
+            neighbors(op, bad)
     with pytest.raises(ValueError, match="length"):
         op.matvec(np.ones(slice_.order))
 
@@ -646,18 +592,18 @@ def test_alt8_order8_cosets_answer_in_coset_numbering():
     connection = enumerate_class_cycles(8, 3)
     op = cayley_adjacency(slice_, connection, subgroup)
     assert (op.dim, len(elements)) == (2520, 8)
-    vertices = [op.vertex_at(i) for i in range(op.dim)]
+    vertices = [vertex_at(op, i) for i in range(op.dim)]
     assert vertices == sorted(vertices)
     for i, g in enumerate(vertices):
-        assert [op.index_of(g * h) for h in elements] == [i] * 8
+        assert [index_of(op, g * h) for h in elements] == [i] * 8
         assert g == min(g * h for h in elements)
     for i in range(0, op.dim, 97):
         g = vertices[i]
-        assert op.neighbors(i) == sorted(op.index_of(t * g) for t in connection)
+        assert neighbors(op, i) == sorted(index_of(op, t * g) for t in connection)
     # every point is moved by some generator, so no point has one image per coset
     for point in range(1, 9):
         with pytest.raises(ValueError, match=f"point {point} is moved by"):
-            op.images_of(point)
+            images_of(op, point)
 
 
 def test_an_odd_involution_on_sym5_loses_the_sign_eigenvalue():
@@ -763,9 +709,9 @@ def test_rank_lookup_numbers_cosets_by_their_smallest_member():
     assert _RankLookup(slice_, parse_all(["()"], 5)).vertex_of is None
     three = parse_all(["(1 2 3)"], 5)
     lookup = _RankLookup(slice_, three)
-    members = slice_.members()
-    least = [min(g * h for h in closure(three, 5)) for g in members]
-    assert [members[r] for r in lookup.representatives] == sorted(set(least))
+    vertices = members(slice_)
+    least = [min(g * h for h in closure(three, 5)) for g in vertices]
+    assert [vertices[r] for r in lookup.representatives] == sorted(set(least))
     assert lookup.vertex_of.tolist() == [sorted(set(least)).index(m) for m in least]
     assert lookup.dim == 20
 

@@ -15,16 +15,14 @@ from cayley_spectra.permutations import (
     cayley_adjacency,
     enumerate_class_cycles,
     symmetric_group,
-    t_filtration,
 )
 from cayley_spectra.quotient import (
-    coset_cells,
     quotient_eigenvalues_gamma,
     quotient_lambda2_recursive,
     quotient_matrix_gamma,
-    verify_equitable,
 )
 from cayley_spectra.spectra import class_size, full_spectrum
+from oracles import coset_cells, members, neighbors, t_filtration, verify_equitable
 
 
 def test_quotient_matrix_5_1():
@@ -49,7 +47,7 @@ def test_row_sums_equal_valency():
     for n in range(3, 9):
         for k in range(n - 1):
             q = quotient_matrix_gamma(n, k)
-            assert set(q.row_sums) == {class_size(n, k)}
+            assert q.diagonal + (q.order - 1) * q.off_diagonal == class_size(n, k)
 
 
 def test_quotient_eigenvalues_lie_in_full_spectrum():
@@ -67,13 +65,13 @@ def test_entries_against_literal_neighbor_counts():
         q = quotient_matrix_gamma(n, k)
         cells = coset_cells(op, 1)
         assert len(cells) == n
-        members = op.slice.members()
+        vertices = members(op.slice)
         for cell_index, cell in enumerate(cells):
             v = cell[0]
             per_cell = [0] * n
-            for w in op.neighbors(v):
-                per_cell[members[w](1) - 1] += 1
-            image = members[v](1)
+            for w in neighbors(op, v):
+                per_cell[vertices[w](1) - 1] += 1
+            image = vertices[v](1)
             assert cell_index == image - 1
             for j, count in enumerate(per_cell):
                 assert count == (q.diagonal if j == cell_index else q.off_diagonal)
@@ -115,6 +113,16 @@ def test_recursive_lambda2_range_check():
         quotient_lambda2_recursive(T, a8, 7)
 
 
+def test_recursive_lambda2_runs_at_degree_minus_two():
+    # k = degree - 2 is the last k that leaves two points, k+1 and k+2, to count on.
+    # T_6 of the 7-cycles: 720 with support {1..6, 8}, each fixing 7, and 720 with
+    # support {1..7}, none sending 8 to 7
+    a8 = alternating_group(8)
+    t6 = [t for t in t_filtration(enumerate_class_cycles(8, 7), 6) if a8.contains(t)]
+    assert len(t6) == 1440
+    assert quotient_lambda2_recursive(t6, a8, 6) == 720
+
+
 def test_to_csv():
     q = quotient_matrix_gamma(5, 1)
     lines = q.to_csv().strip().split("\n")
@@ -126,6 +134,7 @@ def test_to_csv():
 @pytest.mark.parametrize("n, k", [(2, 0), (5, 0), (7, 2), (12, 3), (30, 0)])
 def test_to_csv_matches_the_csv_module_on_every_entry(n, k):
     q = quotient_matrix_gamma(n, k)
+    entries = [[q.diagonal if r == c else q.off_diagonal for c in range(n)] for r in range(n)]
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(q.entries)
+    csv.writer(buf, lineterminator="\n").writerows(entries)
     assert q.to_csv() == buf.getvalue()

@@ -35,7 +35,6 @@ from cayley_spectra.spectra import (
     hypothesis_check,
     in_asserted_regime,
     lambda2,
-    low_dimension_partitions,
     spectrum_to_csv,
     spectrum_to_json,
 )
@@ -372,7 +371,7 @@ def test_in_asserted_regime():
 def test_low_dimension_census():
     """Every shape of dimension below 3*C(n,3) appears in the 14-shape list."""
     for n in range(19, 23):
-        lows = set(low_dimension_partitions(n))
+        lows = {rule.build(n) for rule in TABLE1_SHAPES.values() if n >= rule.min_n}
         assert len(lows) == 14
         bound = 3 * comb(n, 3)
         for lam in enumerate_partitions(n):
