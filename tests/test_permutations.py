@@ -148,6 +148,12 @@ def test_class_cycles_rejects_fixed_points_in_cycle():
         enumerate_class_cycles(4, 5)
 
 
+def test_class_cycles_cap():
+    assert len(enumerate_class_cycles(9, 2)) == 36  # the cap is inclusive
+    with pytest.raises(SizeLimitError, match="class enumeration is capped at degree 9"):
+        enumerate_class_cycles(10, 3)
+
+
 def test_t_filtration_sizes():
     T = enumerate_class_cycles(5, 3)
     sizes = [len(t_filtration(T, k)) for k in range(4)]
@@ -714,6 +720,32 @@ def test_rank_lookup_numbers_cosets_by_their_smallest_member():
     assert [vertices[r] for r in lookup.representatives] == sorted(set(least))
     assert lookup.vertex_of.tolist() == [sorted(set(least)).index(m) for m in least]
     assert lookup.dim == 20
+
+
+def test_rank_lookup_ranks_every_member():
+    # the identity is vertex 0, so column 0 of the ranks of t is t's own rank
+    for slice_ in [GroupSlice(n, even_only=even) for n in range(1, 8) for even in (False, True)]:
+        lookup = _RankLookup(slice_)
+        rows = _member_matrix(slice_).astype(np.intp)
+        assert lookup.dim == slice_.order == len(rows)
+        assert [lookup.ranks(row)[0] for row in rows] == list(range(len(rows)))
+
+
+@pytest.mark.parametrize("subgroup", [("(3 4)(5 6)",), KLEIN6], ids=["<z>", "Klein"])
+def test_rank_lookup_puts_every_member_in_its_right_coset(subgroup):
+    slice_ = alternating_group(6)
+    subgroup = tuple(parse_all(subgroup, 6))
+    lookup = _RankLookup(slice_, subgroup)
+    index = numbering(slice_, subgroup)[1]
+    # the identity's coset H holds the smallest member, so it is vertex 0
+    ranks = [lookup.ranks(np.array(g.images, dtype=np.intp) - 1)[0] for g in members(slice_)]
+    assert ranks == [index[g] for g in members(slice_)]
+
+
+def test_rank_lookup_refuses_images_that_are_no_permutation():
+    # two members of Sym(4) whose first two images are 1 and 2 would both be sent to (1, 1)
+    with pytest.raises(VerificationError, match="not a member of the vertex group"):
+        _RankLookup(symmetric_group(4)).ranks(np.array([0, 0, 2, 3], dtype=np.intp))
 
 
 def test_rank_lookup_refuses_elements_that_are_no_subgroup(monkeypatch):

@@ -109,6 +109,16 @@ def test_dimension_against_hook_products():
             assert dimension(lam) * prod(itertools.chain(*hook_lengths(lam))) == factorial(n), lam
 
 
+def test_dimension_of_large_shapes():
+    # exact past int64: the beta-set quotient against the hook length formula at n = 100
+    assert dimension((13,)) == 1
+    assert dimension((99, 1)) == 99
+    for lam in [(10,) * 10, (14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 1), (50, 25, 13, 7, 3, 2)]:
+        n = sum(lam)
+        assert dimension(lam) * prod(itertools.chain(*hook_lengths(lam))) == factorial(n), lam
+        assert dimension(lam) > 2**63
+
+
 def test_dimension_against_exhaustive_tableau_count():
     # Two genuinely different routes: bead products vs backtracking placement.
     for n in range(1, 11):
