@@ -16,19 +16,20 @@ import json
 import os
 import re
 from fractions import Fraction
-from math import comb, factorial, inf, lgamma, log, prod
+from functools import partial
+from math import comb, factorial, inf, lgamma, log, perm
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .errors import SizeLimitError
 from .young import (
     Partition,
-    _bead_moves,
     _clip,
     _conjugate,
-    _dimension,
+    _dimension_from_beads,
+    _format,
     beta_set,
     enumerate_partitions,
-    format_partition,
     validate_partition,
 )
 
@@ -93,19 +94,25 @@ def eigenvalue_for(lam, n: int, k: int) -> int:
     if sum(lam) != n:
         raise ValueError(f"{lam} is not a partition of {n}")
     class_size(n, k)  # the range check on k
-    return _eigenvalue(lam, n - k)
+    return _eigenvalue(beta_set(lam), n - k)
 
 
-def _eigenvalue(lam: Partition, m: int) -> int:
-    """chi(sigma) |C| / f for the validated shape ``lam`` and the class C of
-    m-cycles: (1/m) sum_i [b_i]_m prod_{j != i} (b_i - m - b_j) / (b_i - b_j)
-    over the beta-set b, with [b]_m = b(b-1)...(b-m+1).  Term i peels the
-    m-rim hook that moves bead b_i to the free position b_i - m, and takes both
-    dimensions from Frobenius' formula (James & Kerber 1981, 2.7)."""
-    beads = beta_set(lam)
+def _eigenvalue(beads, m: int) -> int:
+    """chi(sigma) |C| / f for the shape whose strictly decreasing beta-set is
+    ``beads`` (any sequence of ints) and the class C of m-cycles:
+    (1/m) sum_i [b_i]_m prod_{j != i} (b_i - m - b_j) / (b_i - b_j), with
+    [b]_m = b(b-1)...(b-m+1).  Term i peels the m-rim hook that moves bead b_i
+    to the free position b_i - m, and takes both dimensions from Frobenius'
+    formula (James & Kerber 1981, 2.7).  One downward pass: it stops at the
+    first bead below m and skips a bead whose target is occupied."""
     num, den = 0, 1  # the running sum over i, as one fraction
-    for b, target in _bead_moves(beads, m):
-        term_num, term_den = prod(range(b, target, -1)), 1
+    for b in beads:
+        target = b - m
+        if target < 0:
+            break  # the beads decrease, so no later bead has a target either
+        if target in beads:
+            continue
+        term_num, term_den = perm(b, m), 1
         for other in beads:
             if other != b:
                 term_num *= target - other
@@ -113,7 +120,7 @@ def _eigenvalue(lam: Partition, m: int) -> int:
         num, den = num * term_den + term_num * den, den * term_den
     value, r = divmod(num, den * m)
     if r:
-        raise ArithmeticError(f"non-integral eigenvalue for shape {lam} on {m}-cycles: internal bug")
+        raise ArithmeticError(f"non-integral eigenvalue for beads {list(beads)} on {m}-cycles: internal bug")
     return value
 
 
@@ -129,7 +136,10 @@ class _ShapeTable:
     """The half of full_spectrum at one n that does not depend on k: the shapes
     in ZS1 order, each conjugate pair {lam, lam'} as the indices (i, j) of its
     first and second shape in that order (i == j when lam is self-conjugate),
-    and one (f^lam)^2 per pair.  Built whole by the constructor."""
+    and per pair the beta-set of lam and (f^lam)^2.  Built whole by the constructor.
+
+    The beads are bytes, one byte per bead, while n < 256: no bead exceeds n,
+    the hook length of cell (1, 1).  Past that they are tuples, which stay exact."""
 
     def __init__(self, n: int):
         from array import array  # here, like csv: what builds no table (the numpy routes) never loads it
@@ -139,15 +149,18 @@ class _ShapeTable:
         index = {lam: i for i, lam in enumerate(shapes)}
         seen = bytearray(len(shapes))  # set at the second shape of each pair
         pairs = array("l")  # i0, j0, i1, j1, ...
-        squares = []
+        beads, squares = [], []
+        pack = bytes if n < 256 else tuple
         for i, lam in enumerate(shapes):
             if seen[i]:
                 continue
             j = index[_conjugate(lam)]
             seen[j] = 1
             pairs.extend((i, j))
-            squares.append(_dimension(lam) ** 2)
-        self.n, self.shapes, self.pairs, self.squares = n, shapes, pairs, squares
+            b = beta_set(lam)
+            beads.append(pack(b))
+            squares.append(_dimension_from_beads(b, n) ** 2)
+        self.n, self.shapes, self.pairs, self.beads, self.squares = n, shapes, pairs, beads, squares
 
 
 #: the shape table of the last n that full_spectrum ran at; see _shape_table
@@ -172,10 +185,10 @@ def full_spectrum(n: int, k: int, max_n: int | None = None) -> list[SpectrumEntr
 
     One pass per conjugate pair {lam, lam'}: f^lam' = f^lam, and chi^lam' is
     chi^lam times the sign (-1)^(m-1) of an m-cycle, m = n - k (James & Kerber
-    1981, 2.7).  A shape whose largest hook lam_1 + len(lam) - 1 is shorter
-    than m has no m-rim hook, so its eigenvalue is 0 without a bead scan.  The
-    shapes, the pairs and the dimensions come from the shape table at n, which
-    later calls at the same n reuse.
+    1981, 2.7).  A shape whose largest hook, its first bead lam_1 + len(lam) - 1,
+    is shorter than m has no m-rim hook, so its eigenvalue is 0 without a bead
+    scan.  The shapes, the pairs, the beads and the dimensions come from the
+    shape table at n, which later calls at the same n reuse.
 
     The result is checked against the exact trace identities of the adjacency
     matrix A: tr I = n!, tr A = 0 (no (n-k)-cycle is the identity) and
@@ -194,14 +207,14 @@ def full_spectrum(n: int, k: int, max_n: int | None = None) -> list[SpectrumEntr
     entries: list[SpectrumEntry | None] = [None] * len(shapes)
     # (tr I, tr A, tr A^2), summed per pair: a zero eigenvalue adds to tr I only
     trace0 = trace1 = trace2 = 0
+    entry = partial(tuple.__new__, SpectrumEntry)  # skips the named tuple's Python-level __new__
     pairs = iter(table.pairs)
-    for i, j, square in zip(pairs, pairs, table.squares):
-        lam = shapes[i]
-        value = _eigenvalue(lam, m) if lam[0] + len(lam) - 1 >= m else 0
-        entries[i] = SpectrumEntry(lam, value, square)
+    for i, j, beads, square in zip(pairs, pairs, table.beads, table.squares):
+        value = _eigenvalue(beads, m) if beads[0] >= m else 0
+        entries[i] = entry((shapes[i], value, square))
         copies, twin_sign = 1, 0  # lam' as a second copy, with its sign
         if j != i:
-            entries[j] = SpectrumEntry(shapes[j], sign * value, square)
+            entries[j] = entry((shapes[j], sign * value, square))
             copies, twin_sign = 2, sign
         trace0 += copies * square
         if value:
@@ -214,7 +227,7 @@ def full_spectrum(n: int, k: int, max_n: int | None = None) -> list[SpectrumEntr
             f"spectrum of n = {n}, k = {k} fails the trace identities: "
             f"(tr I, tr A, tr A^2) = {traces}, expected {expected}"
         )
-    entries.sort(key=lambda e: -e.eigenvalue)  # stable: ties keep shape order
+    entries.sort(key=itemgetter(1), reverse=True)  # by eigenvalue; stable, reverse too: ties keep shape order
     return entries
 
 
@@ -307,9 +320,10 @@ def concrete_shape(shape_id: str, n: int) -> Partition:
 def closed_form_table1(shape_id: str, n: int, k: int) -> int:
     """Closed-form eigenvalue for one of the fourteen low-dimension shapes.
 
-    Exact rational evaluation, asserted integral.  The forms are only
-    *guaranteed* to match the character recursion for 3k+1 < n and for
-    k in {0, 1}; see :func:`in_asserted_regime`.
+    Exact rational evaluation; a non-integral value raises ArithmeticError,
+    also under ``python -O``.  The forms are only *guaranteed* to match the
+    character recursion for 3k+1 < n and for k in {0, 1}; see
+    :func:`in_asserted_regime`.
     """
     value = closed_form_value(shape_id, n, k)
     if value.denominator != 1:
@@ -451,7 +465,9 @@ def conjecture_check(n_max: int) -> list[ConjectureRecord]:
 # serialization
 
 def spectrum_to_json(n: int, k: int, entries: list[SpectrumEntry]) -> str:
-    """Machine format; arbitrarily large integers travel as decimal strings."""
+    """Machine format; arbitrarily large integers travel as decimal strings.
+
+    ``entries`` are full_spectrum's, whose shapes are not validated again."""
     return json.dumps(
         {
             "n": n,
@@ -459,7 +475,7 @@ def spectrum_to_json(n: int, k: int, entries: list[SpectrumEntry]) -> str:
             "valency": str(class_size(n, k)),
             "entries": [
                 {
-                    "partition": format_partition(e.partition),
+                    "partition": _format(e.partition),
                     "eigenvalue": str(e.eigenvalue),
                     "multiplicity": str(e.multiplicity),
                 }
@@ -470,6 +486,7 @@ def spectrum_to_json(n: int, k: int, entries: list[SpectrumEntry]) -> str:
 
 
 def spectrum_to_csv(entries: list[SpectrumEntry]) -> str:
+    """One row per entry under a header; ``entries`` as for :func:`spectrum_to_json`."""
     import csv
     import io
 
@@ -477,5 +494,5 @@ def spectrum_to_csv(entries: list[SpectrumEntry]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["partition", "eigenvalue", "multiplicity"])
     for e in entries:
-        writer.writerow([format_partition(e.partition), str(e.eigenvalue), str(e.multiplicity)])
+        writer.writerow([_format(e.partition), str(e.eigenvalue), str(e.multiplicity)])
     return buf.getvalue()

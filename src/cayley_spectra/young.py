@@ -1,8 +1,9 @@
 """Integer partitions, their conjugates, dimensions, and rim hooks.
 
 Partitions come from the iterative ZS1 generator, dimensions from
-Frobenius' beta-set formula, and rim hooks from one bead rule on the abacus,
-:func:`_bead_moves`, which the character and eigenvalue routines share.
+Frobenius' beta-set formula, and rim hooks from one bead rule on the abacus:
+:func:`_bead_moves` for the characters, and the same rule walked once down a
+decreasing beta-set for the eigenvalues (``spectra._eigenvalue``).
 Everything is computed afresh on every call; nothing is memoized.
 """
 
@@ -12,7 +13,7 @@ import re
 from collections.abc import Iterator
 from itertools import combinations, starmap
 from math import factorial, prod
-from operator import sub
+from operator import add, sub
 
 Partition = tuple[int, ...]
 
@@ -101,27 +102,24 @@ def transpose(lam) -> Partition:
 def beta_set(lam: Partition) -> list[int]:
     """Bead positions of ``lam``: row r (0-based) of an r-row shape carries the
     bead lam[r] + rows-1-r (James & Kerber 1981, 2.7)."""
-    rows = len(lam)
-    return [part + rows - 1 - r for r, part in enumerate(lam)]
+    return list(map(add, lam, range(len(lam) - 1, -1, -1)))
 
 
-def _dimension(lam: Partition) -> int:
-    # lam is already validated, by dimension() or, in full_spectrum, by enumerate_partitions.
-    # Frobenius: f = n! prod_{i<j} (b_i - b_j) / prod_i b_i! over the strictly
-    # decreasing beta-set b (James & Kerber 1981, 2.7)
-    beads = beta_set(lam)
-    n = sum(lam)
+def _dimension_from_beads(beads, n: int) -> int:
+    """f of the shape of n boxes whose strictly decreasing beta-set is ``beads``, by
+    Frobenius: f = n! prod_{i<j} (b_i - b_j) / prod_i b_i! (James & Kerber 1981, 2.7)."""
     num = factorial(n) * prod(starmap(sub, combinations(beads, 2)))
     den = prod(map(factorial, beads))
     q, r = divmod(num, den)
     if r:  # the bead factorials always divide; anything else is a bug
-        raise ArithmeticError(f"bead factorials {den} do not divide {num} for shape {lam}")
+        raise ArithmeticError(f"bead factorials {den} do not divide {num} for beads {list(beads)}")
     return q
 
 
 def dimension(lam) -> int:
     """Number of standard Young tableaux of shape ``lam``, by Frobenius' beta-set formula."""
-    return _dimension(validate_partition(lam))
+    lam = validate_partition(lam)
+    return _dimension_from_beads(beta_set(lam), sum(lam))
 
 
 def _bead_moves(beads, length: int) -> Iterator[tuple[int, int]]:
@@ -165,4 +163,9 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(lam) -> str:
     """Serialize as a plain comma-separated part list, e.g. "5,1"."""
-    return ",".join(str(p) for p in validate_partition(lam))
+    return _format(validate_partition(lam))
+
+
+def _format(lam: Partition) -> str:
+    """:func:`format_partition` of a shape the package built, which needs no revalidation."""
+    return ",".join(map(str, lam))

@@ -17,7 +17,7 @@ import pytest
 from cayley_spectra.characters import mn_character
 from cayley_spectra.errors import SizeLimitError
 from cayley_spectra.spectra import DEFAULT_MAX_N, MAX_N_ENV_VAR, _eigenvalue, class_size
-from cayley_spectra.young import dimension, enumerate_partitions, transpose
+from cayley_spectra.young import beta_set, dimension, enumerate_partitions, transpose
 from oracles import (
     centralizer_order,
     character_table,
@@ -122,7 +122,7 @@ def test_eigenvalue_matches_single_peel_oracle():
             c = class_size(n, k)
             for lam in enumerate_partitions(n):
                 want = Fraction(character_on_long_cycle(lam, n, k) * c, dimension(lam))
-                assert _eigenvalue(lam, n - k) == want, (lam, k)
+                assert _eigenvalue(beta_set(lam), n - k) == want, (lam, k)
 
 
 def test_transpose_twist():

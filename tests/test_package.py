@@ -323,7 +323,9 @@ def test_cli_defaults_match_the_numpy_routes():
 #: under python -O, where an assert in their place would be stripped
 INVARIANTS_UNDER_O = """
 import contextlib, io, sys
+from math import factorial
 import cayley_spectra.spectra as spectra
+import cayley_spectra.young as young
 from cayley_spectra.cli import main
 from cayley_spectra.errors import VerificationError
 from cayley_spectra.permutations import (
@@ -333,7 +335,7 @@ from cayley_spectra.permutations import (
 assert False, "asserts are stripped under -O"
 fired = []
 peel = spectra._eigenvalue
-spectra._eigenvalue = lambda lam, m: peel(lam, m) + (lam == (4, 2))
+spectra._eigenvalue = lambda beads, m: peel(beads, m) + (list(beads) == [5, 2])  # the beads of (4, 2)
 try:
     spectra.full_spectrum(6, 2)
 except ArithmeticError as exc:
@@ -354,8 +356,18 @@ def cli_fails_traces(name, wrong):
         "verification failure: spectrum of n = 6, k = 2 fails the trace identities"
     )
 
-fired.append(cli_fails_traces("_dimension", lambda f: lambda lam: f(lam) + (lam == (4, 2))))
+fired.append(cli_fails_traces("_dimension_from_beads", lambda f: lambda b, n: f(b, n) + (b == [5, 2])))
 fired.append(cli_fails_traces("_transpose_sign", lambda s: lambda n, k: -s(n, k)))
+try:
+    spectra._eigenvalue([2, 1, 5], 2)  # no beta-set: the beads do not decrease
+except ArithmeticError as exc:
+    fired.append("non-integral eigenvalue" in str(exc))
+young.factorial = lambda x: factorial(x) + (x == 4)  # f(2,2) = 4! (3-2) / (3! 2!) with 4! read as 25
+try:
+    young.dimension((2, 2))
+except ArithmeticError as exc:
+    fired.append("do not divide" in str(exc))
+young.factorial = factorial
 try:
     _compose(*_factor_rows(alternating_group(5), [Permutation.from_cycles(5, [(1, 2)])]))
 except VerificationError as exc:
@@ -373,7 +385,7 @@ print(sys.flags.optimize, fired)
 def test_invariants_fire_under_python_O(monkeypatch):
     monkeypatch.delenv("CAYLEY_SPECTRA_MAX_N", raising=False)
     out = run_python("-O", "-c", INVARIANTS_UNDER_O)
-    assert out.stdout == "1 [True, True, True, True, True]\n"
+    assert out.stdout == "1 [True, True, True, True, True, True, True]\n"
     usage_errors = {
         ("verify-recursive-5cycles", "--tol", "nan"): "error: need 0 < tol < 1, got tol = nan\n",
         ("char", "--partition", "1^995", "--type", "1^995"): "error: mn_character is capped at n <= 14 "

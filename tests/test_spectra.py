@@ -4,6 +4,7 @@ Exact arithmetic throughout: eigenvalues are Fractions that must reduce to
 integers, and every identity asserted here is checked with ==, not approx.
 """
 
+import ast
 import csv
 import gc
 import hashlib
@@ -38,7 +39,7 @@ from cayley_spectra.spectra import (
     spectrum_to_csv,
     spectrum_to_json,
 )
-from cayley_spectra.young import dimension, enumerate_partitions, format_partition, transpose
+from cayley_spectra.young import beta_set, dimension, enumerate_partitions, format_partition, transpose
 
 
 def test_class_size_formula():
@@ -156,10 +157,10 @@ def test_full_spectrum_rejects_a_wrong_eigenvalue(monkeypatch):
     # explicit raises and so also hold under python -O
     import cayley_spectra.spectra as spectra
 
-    peel = spectra._eigenvalue  # full_spectrum's per-shape eigenvalue
+    peel = spectra._eigenvalue  # full_spectrum's per-pair eigenvalue, from the stored beads
 
-    def off_by_one(lam, m):
-        return peel(lam, m) + (lam == (4, 2))
+    def off_by_one(beads, m):
+        return peel(beads, m) + (list(beads) == beta_set((4, 2)))
 
     monkeypatch.setattr(spectra, "_eigenvalue", off_by_one)
     with pytest.raises(ArithmeticError, match="trace identities"):
@@ -210,10 +211,10 @@ def test_one_table_per_n_and_never_two_alive(monkeypatch):
 def test_a_failed_build_publishes_no_table(monkeypatch):
     full_spectrum(7, 1)
 
-    def broken(lam):
+    def broken(beads, n):
         raise ArithmeticError("bead factorials do not divide")
 
-    monkeypatch.setattr(spectra, "_dimension", broken)
+    monkeypatch.setattr(spectra, "_dimension_from_beads", broken)
     with pytest.raises(ArithmeticError, match="bead factorials"):
         full_spectrum(8, 1)
     assert spectra._last_table is None
@@ -232,17 +233,76 @@ except ArithmeticError as exc:
 """
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_a_wrong_stored_square_trips_the_trace_identities(flags):
-    # in a child, so that the corrupted table never reaches another test
+def run_child(flags, script):
+    # in a child, so that a corrupted table never reaches another test
     src = os.path.dirname(os.path.dirname(spectra.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run(
-        [sys.executable, *flags, "-c", CORRUPT_ONE_SQUARE],
+        [sys.executable, *flags, "-c", script],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert (child.returncode, child.stderr) == (0, "")
-    assert child.stdout.startswith("spectrum of n = 8, k = 3 fails the trace identities: ")
+    return child.stdout
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_wrong_stored_square_trips_the_trace_identities(flags):
+    out = run_child(flags, CORRUPT_ONE_SQUARE)
+    assert out.startswith("spectrum of n = 8, k = 3 fails the trace identities: ")
+
+
+def test_the_table_keeps_each_pairs_beads():
+    # the beta-set of each pair's first shape, one byte per bead
+    for n in range(1, 15):
+        table = spectra._shape_table(n)
+        firsts = [table.shapes[i] for i in table.pairs[::2]]
+        assert len(table.beads) == len(table.squares) == len(firsts), n
+        for lam, beads, square in zip(firsts, table.beads, table.squares):
+            assert type(beads) is bytes and list(beads) == beta_set(lam), (n, lam)
+            assert all(a > b for a, b in zip(beads, beads[1:])), (n, lam)
+            assert square == dimension(lam) ** 2, (n, lam)
+
+
+def test_beads_past_a_byte_stay_exact(monkeypatch):
+    # no table past n = 255 can be enumerated, so two shapes of n = 300 stand in
+    # for its p(300) ones: [300] and its conjugate [1^300]
+    monkeypatch.setattr(spectra, "enumerate_partitions", lambda n: [(n,), (1,) * n])
+    table = spectra._ShapeTable(300)
+    assert list(table.pairs) == [0, 1] and table.squares == [1]
+    assert table.beads == [(300,)]
+    assert spectra._eigenvalue(table.beads[0], 300) == class_size(300, 0)
+
+
+#: every stored bead at n = 8 moved by one, each in turn: the spectrum either
+#: comes out right or full_spectrum raises ArithmeticError, never a wrong one
+CORRUPT_ONE_BEAD = """
+import collections
+import cayley_spectra.spectra as spectra
+right = spectra.full_spectrum(8, 3)
+table = spectra._last_table
+outcomes = collections.Counter()
+for p, beads in enumerate(list(table.beads)):
+    for pos in range(len(beads)):
+        for delta in (-1, 1):  # no bead at n = 8 is 0, so each stays a byte
+            wrong = bytearray(beads)
+            wrong[pos] += delta
+            table.beads[p] = bytes(wrong)
+            try:
+                outcomes["right" if spectra.full_spectrum(8, 3) == right else "wrong"] += 1
+            except ArithmeticError as exc:
+                message = str(exc)
+                outcomes["trace identities" if "trace identities" in message else message.split(" for ")[0]] += 1
+            table.beads[p] = beads
+print(sorted(outcomes.items()))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_wrong_stored_bead_raises_or_changes_nothing(flags):
+    outcomes = dict(ast.literal_eval(run_child(flags, CORRUPT_ONE_BEAD)))
+    assert "wrong" not in outcomes
+    assert set(outcomes) == {"right", "trace identities", "non-integral eigenvalue"}
+    assert sum(outcomes.values()) == 64  # 32 beads over 12 pairs, each moved up and down
 
 
 def test_bipartite_symmetry_when_cycle_is_even_length():
