@@ -256,11 +256,10 @@ def test_the_table_keeps_each_pairs_beads():
     for n in range(1, 15):
         table = spectra._shape_table(n)
         firsts = [table.shapes[i] for i in table.pairs[::2]]
-        assert len(table.beads) == len(table.squares) == len(firsts), n
-        for lam, beads, square in zip(firsts, table.beads, table.squares):
+        assert len(table.beads) == len(firsts), n
+        for lam, beads in zip(firsts, table.beads):
             assert type(beads) is bytes and list(beads) == beta_set(lam), (n, lam)
             assert all(a > b for a, b in zip(beads, beads[1:])), (n, lam)
-            assert square == dimension(lam) ** 2, (n, lam)
 
 
 def test_beads_past_a_byte_stay_exact(monkeypatch):
