@@ -144,7 +144,7 @@ class _ShapeTable:
     def __init__(self, n: int):
         from array import array  # here, like csv: what builds no table (the numpy routes) never loads it
 
-        # enumerate_partitions yields valid shapes only, so neither call below revalidates
+        # enumerate_partitions yields valid shapes only, so no call below revalidates
         shapes = enumerate_partitions(n)
         index = {lam: i for i, lam in enumerate(shapes)}
         seen = bytearray(len(shapes))  # set at the second shape of each pair
