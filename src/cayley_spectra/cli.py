@@ -15,7 +15,7 @@ from . import quotient, spectra
 from .characters import _check_cap, mn_character
 from .errors import SizeLimitError, VerificationError
 from .spectra import DEFAULT_SEED, DEFAULT_TOL, DENSE_ORDER_LIMIT
-from .young import _format, _parse_runs, format_partition, parse_partition
+from .young import _parse_runs, format_partition, parse_partition
 
 # numpy, eigensolve and permutations are imported inside the two commands that
 # build arrays: every other command is exact integer work and starts faster
@@ -51,7 +51,7 @@ def cmd_spectrum(args) -> int:
     else:
         c = spectra.class_size(args.n, args.k)
         print(f"Cay(Sym({args.n}), {args.n - args.k}-cycles): valency {c}")
-        labels = [_format(e.partition) for e in entries]  # built by full_spectrum: no revalidation
+        labels = [format_partition(e.partition) for e in entries]
         width = max(map(len, labels))
         print(f"{'partition':<{width + 2}}{'eigenvalue':>14}  multiplicity")
         for label, e in zip(labels, entries):

@@ -27,9 +27,9 @@ from .young import (
     _clip,
     _conjugate,
     _dimension_from_beads,
-    _format,
     beta_set,
     enumerate_partitions,
+    format_partition,
     validate_partition,
 )
 
@@ -138,8 +138,8 @@ class _ShapeTable:
     first and second shape in that order (i == j when lam is self-conjugate),
     and per pair the beta-set of lam and (f^lam)^2.  Built whole by the constructor.
 
-    The beads are bytes, one byte per bead, while n < 256: no bead exceeds n,
-    the hook length of cell (1, 1).  Past that they are tuples, which stay exact."""
+    The beads are bytes, one byte per bead: no bead exceeds n, the hook length
+    of cell (1, 1), and bytes() raises ValueError past 255 rather than wrap."""
 
     def __init__(self, n: int):
         from array import array  # here, like csv: what builds no table (the numpy routes) never loads it
@@ -150,7 +150,6 @@ class _ShapeTable:
         seen = bytearray(len(shapes))  # set at the second shape of each pair
         pairs = array("l")  # i0, j0, i1, j1, ...
         beads, squares = [], []
-        pack = bytes if n < 256 else tuple
         for i, lam in enumerate(shapes):
             if seen[i]:
                 continue
@@ -158,7 +157,7 @@ class _ShapeTable:
             seen[j] = 1
             pairs.extend((i, j))
             b = beta_set(lam)
-            beads.append(pack(b))
+            beads.append(bytes(b))
             squares.append(_dimension_from_beads(b, n) ** 2)
         self.n, self.shapes, self.pairs, self.beads, self.squares = n, shapes, pairs, beads, squares
 
@@ -465,9 +464,7 @@ def conjecture_check(n_max: int) -> list[ConjectureRecord]:
 # serialization
 
 def spectrum_to_json(n: int, k: int, entries: list[SpectrumEntry]) -> str:
-    """Machine format; arbitrarily large integers travel as decimal strings.
-
-    ``entries`` are full_spectrum's, whose shapes are not validated again."""
+    """Machine format; arbitrarily large integers travel as decimal strings."""
     return json.dumps(
         {
             "n": n,
@@ -475,7 +472,7 @@ def spectrum_to_json(n: int, k: int, entries: list[SpectrumEntry]) -> str:
             "valency": str(class_size(n, k)),
             "entries": [
                 {
-                    "partition": _format(e.partition),
+                    "partition": format_partition(e.partition),
                     "eigenvalue": str(e.eigenvalue),
                     "multiplicity": str(e.multiplicity),
                 }
@@ -486,7 +483,6 @@ def spectrum_to_json(n: int, k: int, entries: list[SpectrumEntry]) -> str:
 
 
 def spectrum_to_csv(entries: list[SpectrumEntry]) -> str:
-    """One row per entry under a header; ``entries`` as for :func:`spectrum_to_json`."""
     import csv
     import io
 
@@ -494,5 +490,5 @@ def spectrum_to_csv(entries: list[SpectrumEntry]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["partition", "eigenvalue", "multiplicity"])
     for e in entries:
-        writer.writerow([_format(e.partition), str(e.eigenvalue), str(e.multiplicity)])
+        writer.writerow([format_partition(e.partition), str(e.eigenvalue), str(e.multiplicity)])
     return buf.getvalue()

@@ -163,9 +163,4 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(lam) -> str:
     """Serialize as a plain comma-separated part list, e.g. "5,1"."""
-    return _format(validate_partition(lam))
-
-
-def _format(lam: Partition) -> str:
-    """:func:`format_partition` of a shape the package built, which needs no revalidation."""
-    return ",".join(map(str, lam))
+    return ",".join(str(p) for p in validate_partition(lam))

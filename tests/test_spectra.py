@@ -27,6 +27,7 @@ from cayley_spectra.spectra import (
     MAX_N_ENV_VAR,
     TABLE1_SHAPE_IDS,
     TABLE1_SHAPES,
+    SpectrumEntry,
     class_size,
     closed_form_table1,
     concrete_shape,
@@ -260,16 +261,6 @@ def test_the_table_keeps_each_pairs_beads():
         for lam, beads in zip(firsts, table.beads):
             assert type(beads) is bytes and list(beads) == beta_set(lam), (n, lam)
             assert all(a > b for a, b in zip(beads, beads[1:])), (n, lam)
-
-
-def test_beads_past_a_byte_stay_exact(monkeypatch):
-    # no table past n = 255 can be enumerated, so two shapes of n = 300 stand in
-    # for its p(300) ones: [300] and its conjugate [1^300]
-    monkeypatch.setattr(spectra, "enumerate_partitions", lambda n: [(n,), (1,) * n])
-    table = spectra._ShapeTable(300)
-    assert list(table.pairs) == [0, 1] and table.squares == [1]
-    assert table.beads == [(300,)]
-    assert spectra._eigenvalue(table.beads[0], 300) == class_size(300, 0)
 
 
 #: every stored bead at n = 8 moved by one, each in turn: the spectrum either
@@ -578,3 +569,17 @@ def test_spectrum_csv_schema():
     assert rows[1] == ["4", "8", "1"]
     parsed = {r[0]: (int(r[1]), int(r[2])) for r in rows[1:]}
     assert parsed["2,2"] == (-4, 4)
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [((2, 3), "non-increasing"), ((3, 0), "positive"), ((3, -1), "positive")],
+    ids=["increasing", "zero-part", "negative-part"],
+)
+def test_spectrum_writers_reject_a_malformed_partition(shape, message):
+    # a caller's own entries are validated: a malformed shape is never written out
+    entries = [*full_spectrum(4, 1), SpectrumEntry(shape, 0, 1)]
+    with pytest.raises(ValueError, match=message):
+        spectrum_to_json(4, 1, entries)
+    with pytest.raises(ValueError, match=message):
+        spectrum_to_csv(entries)
