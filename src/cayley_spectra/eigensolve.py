@@ -14,8 +14,10 @@ exact integers once the certificate holds.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 # permutations loads numpy first, with one BLAS thread unless the process chose otherwise
 from .permutations import (
@@ -86,9 +88,14 @@ def _norm(v: np.ndarray) -> float:
     return float(np.sqrt(_product("i,i", v, v)))
 
 
-def _check_symmetry(op, rng: np.random.Generator, norm_bound: float) -> None:
-    x = rng.standard_normal(op.dim)
-    y = rng.standard_normal(op.dim)
+def _random_vector(rng: random.Random, dim: int) -> np.ndarray:
+    """``dim`` entries drawn uniformly from [-1/2, 1/2)."""
+    return np.array([rng.random() for _ in range(dim)]) - 0.5
+
+
+def _check_symmetry(op, rng: random.Random, norm_bound: float) -> None:
+    x = _random_vector(rng, op.dim)
+    y = _random_vector(rng, op.dim)
     ax, ay = op.matvec(x), op.matvec(y)
     gap = abs(float(_product("i,i", ax, y)) - float(_product("i,i", x, ay)))
     scale = norm_bound * _norm(x) * _norm(y)
@@ -113,10 +120,12 @@ def extremal_eigenvalues(
     basis).  The iteration stops once the residual estimates of the top
     ``count`` Ritz pairs are at most half of tol * ||A||_1, and each value is
     then certified by its true residual against tol * ||A||_1 itself.
-    Deterministic for a fixed seed: the start vector is drawn from
-    numpy's seeded generator.  On breakdown the iteration restarts from a
-    fresh random direction, so exhausted spectra still expose multiple
-    copies.  Non-convergence is reported, never silent.
+    Deterministic for a fixed seed >= 0: the start vector is drawn from
+    ``random.Random(seed)``, whose stream Python keeps the same for an int
+    seed on every version, so numpy.random is never loaded.  On breakdown
+    the iteration restarts from a fresh random direction, so exhausted
+    spectra still expose multiple copies.  Non-convergence is reported,
+    never silent.
     """
     dim = op.dim
     if not 1 <= count <= dim:
@@ -130,9 +139,12 @@ def extremal_eigenvalues(
         raise ValueError(
             f"need max_iterations >= count, got max_iterations = {max_iterations}, count = {count}"
         )
+    seed = index(seed)  # an int, as random.Random needs, or TypeError
+    if seed < 0:  # random.Random would seed -1 as 1
+        raise ValueError(f"need seed >= 0, got {seed}")
     norm_bound = float(op.one_norm())
-    rng = np.random.default_rng(seed)
-    vec = rng.standard_normal(dim)
+    rng = random.Random(seed)
+    vec = _random_vector(rng, dim)
     _check_symmetry(op, rng, norm_bound)
 
     budget = min(max_iterations, dim)
@@ -167,7 +179,7 @@ def extremal_eigenvalues(
         if b > breakdown_tol:
             vec = w  # already orthogonalized twice against basis[:j], just above
         else:  # breakdown: restart from a fresh direction, orthogonalized twice against the basis
-            vec = rng.standard_normal(dim)
+            vec = _random_vector(rng, dim)
             for _ in range(2):
                 vec = vec - _product("ij,i->j", basis[:j], _product("ij,j->i", basis[:j], vec))
 
@@ -217,8 +229,8 @@ def _top_ritz_pairs(columns: list[np.ndarray], count: int) -> tuple[np.ndarray, 
 RECURSIVE_DEGREE = 8
 RECURSIVE_CYCLE_LENGTH = 5
 RECURSIVE_MAX_K = 4
-#: generators of the order-8 subgroup whose 2520 right cosets the filtered graphs run on
-RECURSIVE_SUBGROUP = ("(1 2)(3 4)", "(5 6)(7 8)", "(5 7)(6 8)")
+#: generators of the diagonal Sym(4), order 24, whose 840 right cosets the filtered graphs run on
+RECURSIVE_SUBGROUP = ("(1 2 3 4)(5 6 7 8)", "(1 2)(5 6)")
 
 LAMBDA2_FORMULA = "n*(n-2)*(n-3)*(n-4)*(n-6)/5"
 
@@ -314,8 +326,8 @@ def _levels(group: GroupSlice, cycles: list[Permutation]) -> tuple[list[Permutat
 def filtration_operators(group: GroupSlice, cycles: list[Permutation]) -> list[CayleyOperator]:
     """Operators of Cay(group, T_k ∩ group) for k = 0..RECURSIVE_MAX_K, where
     T_k holds the members of ``cycles`` whose support contains {1..k}, on the
-    right cosets of the subgroup generated by RECURSIVE_SUBGROUP: an eighth
-    of the vertices, every distinct eigenvalue (see
+    right cosets of the subgroup generated by RECURSIVE_SUBGROUP: a 24th of
+    the vertices, every distinct eigenvalue (see
     :func:`permutations._require_quotient`).  A
     coset vector and its lift to the group have the same relative residual,
     and ||M||_1 is still the valency, so a residual certificate means the
@@ -336,8 +348,8 @@ def verify_recursive_5cycles(
     """Numerically certify the five filtered 5-cycle Cayley graphs on Alt(8).
 
     For k = 0..4 the graph is on Alt(8) and the connection set keeps the
-    5-cycles whose support covers {1..k}.  A Lanczos run on the 2520 right
-    cosets of <(1 2)(3 4), (5 6)(7 8), (5 7)(6 8)>, which carry every
+    5-cycles whose support covers {1..k}.  A Lanczos run on the 840 right
+    cosets of <(1 2 3 4)(5 6 7 8), (1 2)(5 6)>, which carry every
     eigenvalue of the graph, produces the top two eigenvalues; the second
     must match, after integer promotion, the exact coset-count difference
 

@@ -8,8 +8,8 @@ vertices g, h are adjacent iff h g^{-1} lies in the connection set.  An
 operator may instead act on the right cosets gH of a subgroup H given by
 generators, each numbered by its smallest member: the Schreier graph on
 |G|/|H| vertices.  It is built only for an H that keeps every distinct
-eigenvalue, which one exact character count decides; the order-8 subgroup
-<(1 2)(3 4), (5 6)(7 8), (5 7)(6 8)> of Alt(8) leaves 2520 cosets.
+eigenvalue, which one exact character count decides; the diagonal Sym(4)
+<(1 2 3 4)(5 6 7 8), (1 2)(5 6)> of Alt(8), of order 24, leaves 840 cosets.
 """
 
 from __future__ import annotations
@@ -332,6 +332,8 @@ class _RankLookup:
     smallest member in lexicographic order: ``ranks`` composes t with that
     member only and maps the rank of the product to its coset.  g * h holds
     g's images at the positions h permutes, so the table ranks it too.
+    The numbering makes one pass over all members per element h != 1: 23
+    passes for the diagonal Sym(4) of Alt(8).
     """
 
     def __init__(self, slice_: GroupSlice, subgroup: Sequence[Permutation] = ()):
@@ -522,14 +524,15 @@ class CayleyOperator:
     share.  For all 1344 5-cycles on Alt(8) that is 104 head and 70 tail
     gathers instead of 1344, and 35 partner sums with 637 adds instead of
     70 with 1274, from 7 MB of uint16 factor rows instead of a 54 MB table
-    of composed rows; on the 2520 right cosets of the order-8 subgroup
-    <(1 2)(3 4), (5 6)(7 8), (5 7)(6 8)> the same gathers and adds run on
-    rows an eighth as long, 0.9 MB in all.  On rows this short a call's
-    fixed cost counts, so the matvec calls the C methods directly on row
-    lists built once per operator.  A matvec of the five certification
-    levels takes 1.42, 0.90, 0.72, 0.51 and 0.27 ms on those cosets, against
-    1.70, 1.05, 0.89, 0.62 and 0.33 ms through ``np.take`` and row-indexed
-    ``+=`` (medians of 15 interleaved rounds of 30 calls, 2 cores).
+    of composed rows; on the 840 right cosets of the diagonal Sym(4)
+    <(1 2 3 4)(5 6 7 8), (1 2)(5 6)> the same gathers and adds run on rows
+    a 24th as long, 0.3 MB in all.  On rows this short a call's fixed cost
+    counts, so the matvec calls the C methods directly on row lists built
+    once per operator.  A matvec of the five certification levels takes
+    0.82, 0.54, 0.42, 0.28 and 0.16 ms on those cosets, against 1.59, 1.01,
+    0.80, 0.55 and 0.30 ms on the 2520 cosets of an order-8 subgroup
+    (medians of 15 interleaved rounds of 30 calls, 3 alternating
+    processes each, 2 cores): a third of the length costs about half.
     :meth:`prefix` serves a leading part of the connection from the same
     factor rows without a copy.
     """

@@ -352,10 +352,16 @@ def test_verify_table_names_its_vertices(capsys):
     code, out, err = run(capsys, "verify-recursive-5cycles")
     assert (code, err) == (0, "")
     lines = out.splitlines()
-    assert lines[0] == "vertices: 2520 right cosets of ⟨(1 2)(3 4), (5 6)(7 8), (5 7)(6 8)⟩"
+    assert lines[0] == "vertices: 840 right cosets of ⟨(1 2 3 4)(5 6 7 8), (1 2)(5 6)⟩"
     assert lines[1].split() == ["k", "valency", "lambda1", "lambda2", "rhs_exact", "status"]
     assert [line.split()[-1] for line in lines[2:7]] == ["PASS"] * 5
     assert lines[7].endswith(": n*(n-2)*(n-3)*(n-4)*(n-6)/5")
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    code, out, err = run(capsys, "verify-recursive-5cycles", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: need seed >= 0, got -1\n"
 
 
 def test_verify_names_the_unreached_tolerance(capsys, monkeypatch):

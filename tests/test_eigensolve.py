@@ -175,6 +175,22 @@ ALT8_SUBGROUP = [Permutation.parse(h, degree=8) for h in RECURSIVE_SUBGROUP]
 ALT8_SEEDS = [DEFAULT_SEED] + [random.Random(s).getrandbits(32) for s in range(10)]
 
 
+#: Lanczos iterations per level k = 0..4 for each of ALT8_SEEDS, in order
+ALT8_ITERATIONS = [
+    (7, 12, 14, 16, 19),
+    (7, 12, 14, 16, 18),
+    (7, 13, 14, 16, 18),
+    (7, 12, 14, 16, 18),
+    (7, 13, 14, 16, 18),
+    (7, 13, 14, 16, 18),
+    (7, 12, 14, 16, 18),
+    (7, 12, 14, 16, 18),
+    (7, 13, 14, 16, 18),
+    (7, 12, 14, 16, 18),
+    (7, 12, 14, 16, 17),
+]
+
+
 @functools.cache
 def alt8_certificate(seed):
     return eigensolve.verify_recursive_5cycles(seed=seed)
@@ -186,11 +202,9 @@ def test_alt8_certificate_iterations_and_values_per_seed(seed):
     cert = alt8_certificate(seed)
     assert cert.passed
     assert (cert.vertices, cert.subgroup) == (
-        2520, "right cosets of ⟨(1 2)(3 4), (5 6)(7 8), (5 7)(6 8)⟩"
+        840, "right cosets of ⟨(1 2 3 4)(5 6 7 8), (1 2)(5 6)⟩"
     )
-    # the seed drawn from 7 needs one more step at k = 2
-    iterations = (7, 13, 15, 16, 18) if seed == ALT8_SEEDS[8] else (7, 13, 14, 16, 18)
-    assert tuple(row.iterations for row in cert.rows) == iterations
+    assert tuple(row.iterations for row in cert.rows) == ALT8_ITERATIONS[ALT8_SEEDS.index(seed)]
     assert [(row.lambda1, row.lambda2) for row in cert.rows] == [
         (1344, 384), (840, 300), (480, 216), (240, 138), (96, 72)
     ]
@@ -230,6 +244,30 @@ class CountingOperator(MatrixOperator):
     def matvec(self, x):
         self.matvecs += 1
         return super().matvec(x)
+
+
+def test_extremal_rejects_a_negative_seed_before_any_matvec():
+    op = CountingOperator(K4)
+    with pytest.raises(ValueError, match=r"^need seed >= 0, got -1$"):
+        extremal_eigenvalues(op, count=2, seed=-1)
+    assert op.matvecs == 0
+
+
+def test_extremal_seeds_with_random_random_and_leaves_numpy_random_unused(monkeypatch):
+    # the start vector and the two symmetry-check vectors are the first 3 * dim
+    # draws of random.Random(seed), shifted by -1/2
+    class Recording(MatrixOperator):
+        def matvec(self, x):
+            seen.append(np.array(x))
+            return super().matvec(x)
+
+    seen = []
+    monkeypatch.delattr(np, "random")
+    extremal_eigenvalues(Recording(ring(6)), count=2, seed=7)
+    rng = random.Random(7)
+    start, x, y = (np.array([rng.random() for _ in range(6)]) - 0.5 for _ in range(3))
+    assert np.array_equal(seen[0], x) and np.array_equal(seen[1], y)
+    assert np.allclose(seen[2], start / np.linalg.norm(start), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("max_iterations", [0, 1, -3])
@@ -283,7 +321,7 @@ def test_filtration_levels_are_prefixes_of_one_table():
     x = np.random.default_rng(3).standard_normal(operators[0].dim)
     assert len(operators) == 5
     for k, op in enumerate(operators):
-        assert op.dim == group.order // 8
+        assert op.dim == group.order // 24
         connection = [t for t in t_filtration(cycles, k) if group.contains(t)]
         fresh = cayley_adjacency(group, connection, ALT8_SUBGROUP)
         level_heads, level_tails, level_pairs = op._factor_rows()
@@ -423,17 +461,32 @@ def test_alt8_coset_matvec_lifts_to_the_full_matvec_bit_for_bit():
     operators = filtration_operators(group, enumerate_class_cycles(8, 5))
     full = cayley_adjacency(group, operators[0].connection)
     lift = _RankLookup(group, ALT8_SUBGROUP).vertex_of
-    assert np.bincount(lift).tolist() == [8] * operators[0].dim
+    assert np.bincount(lift).tolist() == [24] * operators[0].dim
     x = np.random.default_rng(13).standard_normal(operators[0].dim)
     for op in operators:
         level = full.prefix(op.valency)
-        assert level.dim == 8 * op.dim == group.order
+        assert level.dim == 24 * op.dim == group.order
         assert np.array_equal(level.matvec(x[lift]), op.matvec(x)[lift])
 
 
 def _distinct(values, gap=1e-6):
     values = np.sort(values)
     return values[np.concatenate([[True], np.diff(values) > gap])]
+
+
+def test_alt8_coset_levels_have_the_full_groups_distinct_eigenvalues_and_the_certified_top_two():
+    # 840 cosets fit the dense oracle: each level has the distinct-eigenvalue
+    # count of the full Alt(8) graph's minimal polynomial, and its top two
+    # values are the (lambda1, lambda2) that Lanczos certified
+    group = alternating_group(8)
+    operators = filtration_operators(group, enumerate_class_cycles(8, 5))
+    cert = alt8_certificate(DEFAULT_SEED)
+    counts = []
+    for op, row in zip(operators, cert.rows):
+        values = dense_spectrum(op).values
+        counts.append(len(_distinct(values)))
+        assert np.allclose(values[:2], [row.lambda1, row.lambda2], rtol=0, atol=1e-8), row.k
+    assert counts == [7, 14, 28, 44, 23]
 
 
 @pytest.mark.parametrize("n", [5, 6])

@@ -151,6 +151,15 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout == "False\n"
 
 
+def test_alt8_certification_leaves_numpy_random_unloaded():
+    out = run_python(
+        "-c",
+        "import sys; from cayley_spectra import eigensolve; "
+        "assert eigensolve.verify_recursive_5cycles().passed; print('numpy.random' in sys.modules)",
+    )
+    assert out.stdout == "False\n"
+
+
 def test_cli_import_leaves_dataclasses_inspect_and_csv_unloaded():
     out = run_python(
         "-c",

@@ -6,6 +6,7 @@ matrix assembled here by literal one-at-a-time composition.
 
 import itertools
 import re
+from collections import Counter
 from math import factorial
 
 import numpy as np
@@ -675,6 +676,24 @@ def test_the_count_admits_the_order8_subgroup_of_alt8_and_not_its_order16_overgr
     larger = parse_all(("(1 2)(3 4)", "(1 3)(2 4)", "(5 6)(7 8)", "(5 7)(6 8)"), 8)
     with pytest.raises(ValueError, match=r"the character \(6, 1, 1\) sums to 0"):
         _require_quotient(alternating_group(8), tuple(larger))
+
+
+@pytest.mark.parametrize("n, cosets", [(8, 840), (9, 7560)])
+def test_the_count_admits_the_diagonal_sym4_on_alt8_and_alt9(n, cosets):
+    # <(1 2 3 4)(5 6 7 8), (1 2)(5 6)> acts on {1..4} and {5..8} alike; it meets
+    # no split class, and every character of Sym(n) sums to more than 0 over it
+    slice_ = alternating_group(n)
+    diagonal = parse_all(("(1 2 3 4)(5 6 7 8)", "(1 2)(5 6)"), n)
+    elements = _require_quotient(slice_, tuple(diagonal))
+    assert sorted(Counter(h.cycle_type() for h in elements).items()) == [
+        ((1,) * n, 1),
+        ((2, 2) + (1,) * (n - 4), 6),
+        ((2, 2, 2, 2) + (1,) * (n - 8), 3),
+        ((3, 3) + (1,) * (n - 6), 8),
+        ((4, 4) + (1,) * (n - 8), 6),
+    ]
+    assert cayley_adjacency(slice_, enumerate_class_cycles(n, 3), diagonal).dim == cosets
+    assert len(_RankLookup(slice_, diagonal).representatives) == cosets
 
 
 @pytest.mark.parametrize(
