@@ -127,6 +127,8 @@ class Permutation:
         return len(self._images)
 
     def __call__(self, point: int) -> int:
+        if not 0 < point <= len(self._images):
+            raise ValueError(f"point {point} outside 1..{len(self._images)}")
         return self._images[point - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
@@ -291,6 +293,9 @@ def coset_count(
     ``fixes=p`` counts members fixing p, ``maps=(t, s)`` counts members sending t to s."""
     if (fixes is None) == (maps is None):
         raise ValueError("give exactly one of fixes= and maps=")
+    for point in (fixes,) if maps is None else maps:
+        if not 1 <= point <= slice_.degree:
+            raise ValueError(f"point {point} outside 1..{slice_.degree}")
     count = 0
     for t in class_members:
         # the O(1) coordinate test first: membership computes t's parity
@@ -317,96 +322,88 @@ def _subgroup_elements(generators: Sequence[Permutation], degree: int) -> list[P
 
 
 class _RankLookup:
-    """Vertex index of t * g for every vertex g of a slice, read from one lookup table.
+    """Vertex index of t * g for every vertex g of a slice, found by one
+    binary search over the members' keys.
 
-    Members of degree n that agree on their first n-2 images differ only in
-    the order of the last two, so they sit next to each other in
-    lexicographic order, ascending pair first; an even-only slice keeps
-    exactly one of the two.  The table maps the base-n key of those n-2
-    0-based images to the rank of the first member with them, and holds -1
-    where no member has them.  For Alt(8) it has 8^6 int32 entries, 1 MB.
+    The 0-based images of a member, read as base-n digits, form its key.
+    The members are in lexicographic order, so their keys ascend, and the
+    rank of a permutation is the position of its key among them; a key that
+    is not there belongs to no member and raises
+    :class:`~cayley_spectra.errors.VerificationError`.  Sym(n) and Alt(n)
+    take the same path.
 
-    With the trivial ``subgroup`` (no generators) every member is a vertex
-    and its index is its rank.  Otherwise the vertices are the right cosets
-    gH of the subgroup H the generators close to, each numbered by its
-    smallest member in lexicographic order: ``ranks`` composes t with that
-    member only and maps the rank of the product to its coset.  g * h holds
-    g's images at the positions h permutes, so the table ranks it too.
-    The numbering makes one pass over all members per element h != 1: 23
-    passes for the diagonal Sym(4) of Alt(8).
+    The vertices are the right cosets gH of the subgroup H that the
+    generators in ``subgroup`` close to, each numbered by its smallest member
+    in lexicographic order; with no generators every member is its own
+    coset.  ``ranks`` composes t with those members only and maps the rank
+    of each product to its coset.  The numbering searches the move g -> g * s
+    once per generator s, 2 searches for the diagonal Sym(4) of Alt(8).
     """
 
     def __init__(self, slice_: GroupSlice, subgroup: Sequence[Permutation] = ()):
         n = slice_.degree
-        head = max(n - 2, 0)
         # one contiguous row of images per position, so every gather below is row-major
         columns = _member_matrix(slice_).T.copy()
-        self._weights = n ** np.arange(head - 1, -1, -1, dtype=np.int32)
-        # the two orders of the last two images are both members only in a full slice
-        self._full = n >= 2 and not slice_.even_only
-        step = 2 if self._full else 1
-        self._lookup = np.full(n**head, -1, dtype=np.int32)
-        self._lookup[(self._weights @ columns[:head])[::step]] = np.arange(
-            0, slice_.order, step, dtype=np.int32
-        )
-        #: member ranks of the vertices, ascending, and the vertex of every
-        #: member; both None when every member is a vertex
-        self.representatives = self.vertex_of = None
-        elements = _subgroup_elements(subgroup, n)
-        if len(elements) > 1:
-            self.representatives, self.vertex_of = self._right_cosets(slice_, columns, elements)
-            columns = columns.take(self.representatives, axis=1)  # still row-major
+        # int32 holds every key, up to n**n - 1 < 2**31 at MAX_MATERIALIZED_DEGREE = 9
+        self._weights = n ** np.arange(n - 1, -1, -1, dtype=np.int32)
+        self._keys = self._weights @ columns
+        order = len(_subgroup_elements(subgroup, n))
+        #: member ranks of the vertices, ascending, and the vertex of every member
+        self.representatives, self.vertex_of = self._right_cosets(slice_, columns, subgroup, order)
+        columns = columns.take(self.representatives, axis=1)  # still row-major
         self.dim = columns.shape[1]
-        # flat positions of the head images in a (head, degree) table of weighted images
-        self._heads = columns[:head] + (np.arange(head) * n)[:, None]
-        self._tails = columns[head:] if self._full else None
+        # flat positions of the images in a (degree, degree) table of weighted images
+        self._digits = columns + (np.arange(n) * n)[:, None]
 
-    def _right_cosets(self, slice_: GroupSlice, columns: np.ndarray, elements: list[Permutation]):
-        """(representatives, vertex_of) for the right cosets of the subgroup
-        with these ``elements``, identity first.  One running elementwise
-        minimum over the ranks of g * h holds the smallest member of every
-        coset, so memory stays at one array of length |G| whatever |H| is."""
-        head = len(self._weights)
-        members = np.arange(slice_.order, dtype=np.int32)
+    def _search(self, keys: np.ndarray, message: str, **context) -> np.ndarray:
+        """Member ranks of ``keys``; raise VerificationError(message) unless
+        every key is a member's."""
+        ranks = np.searchsorted(self._keys, keys)
+        if not (self._keys.take(ranks, mode="clip") == keys).all():
+            raise VerificationError(message, **context)
+        return ranks
+
+    def _right_cosets(
+        self, slice_: GroupSlice, columns: np.ndarray, generators: Sequence[Permutation], order: int
+    ):
+        """(representatives, vertex_of) for the right cosets of the subgroup of
+        ``order`` elements that ``generators`` close to.  Each generator's
+        move g -> g * s is searched once; an elementwise minimum of every rank
+        with that of its moves, repeated until a sweep changes nothing, holds
+        the smallest member of gH: H is finite, so s^-1 is a power of s and
+        the moves alone reach every g * h."""
+        moves = []
+        for s in generators:
+            # row i of g * s holds g(s(i)): the rows of g, permuted by s
+            keys = self._weights @ columns[[v - 1 for v in s.images]]
+            message = "a subgroup element sends a member outside the vertex group"
+            moves.append(self._search(keys, message, element=s, slice=slice_))
+        members = np.arange(slice_.order)
         least = members.copy()
-        for h in elements[1:]:
-            # row i of g * h holds g(h(i)): the rows of g, permuted by h
-            moved = columns[[v - 1 for v in h.images]]
-            ranks = self._lookup[self._weights @ moved[:head]]
-            if self._full:
-                ranks += moved[head] > moved[head + 1]
-            # the table reads only the first n-2 images, so check that each rank is g * h
-            if not (columns.take(ranks, axis=1) == moved).all():
-                raise VerificationError(
-                    "a subgroup element sends a member outside the vertex group",
-                    element=h,
-                    slice=slice_,
-                )
-            np.minimum(least, ranks, out=least)
+        settled = False
+        while not settled:
+            previous = least.copy()
+            for move in moves:
+                np.minimum(least, least[move], out=least)
+            settled = np.array_equal(least, previous)
         representatives = np.flatnonzero(least == members)
-        if len(representatives) * len(elements) != slice_.order:
+        if len(representatives) * order != slice_.order:
             raise VerificationError(
                 "the right cosets of the subgroup do not split the members evenly",
                 cosets=len(representatives),
-                subgroup_order=len(elements),
+                subgroup_order=order,
                 slice=slice_,
             )
         vertex_of = np.searchsorted(representatives, least).astype(np.int32)
         return representatives, vertex_of
 
-    def _keys(self, t0: np.ndarray) -> np.ndarray:
-        weighted = np.outer(self._weights, t0.astype(np.int32)).ravel()
-        return weighted[self._heads].sum(axis=0, dtype=np.int32)
-
     def ranks(self, t0: np.ndarray) -> np.ndarray:
-        """Vertex index of t * g for every vertex g; ``t0`` holds t's 0-based
-        images and t must lie in the slice."""
-        ranks = self._lookup[self._keys(t0)]
-        if ranks.min() < 0:
-            raise VerificationError("a composed permutation is not a member of the vertex group")
-        if self._tails is not None:
-            ranks += t0[self._tails[0]] > t0[self._tails[1]]
-        return ranks if self.vertex_of is None else self.vertex_of[ranks]
+        """Vertex index of t * g for every vertex g; ``t0`` holds t's 0-based images."""
+        weighted = np.outer(self._weights, t0.astype(np.int32)).ravel()
+        keys = weighted[self._digits].sum(axis=0, dtype=np.int32)
+        return self.vertex_of[
+            self._search(keys, "a composed permutation is not a member of the vertex group")
+        ]
 
 
 def _images0(degree: int, cycles) -> tuple[int, ...]:
@@ -450,7 +447,7 @@ def _factor_rows(
     member of the coset named by row_b it was ranked from.
 
     Heads are 3-cycles and tails that :func:`_split` leaves whole are ranked
-    by the lookup; any other tail is split again and stored composed, so the
+    by the key search; any other tail is split again and stored composed, so the
     tail of a 7-cycle is a composed 5-cycle row.
     """
     lookup = _RankLookup(slice_, subgroup)

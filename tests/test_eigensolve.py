@@ -36,6 +36,7 @@ from cayley_spectra.permutations import (
     enumerate_class_cycles,
     symmetric_group,
 )
+from cayley_spectra.quotient import quotient_lambda2_recursive
 from oracles import MatrixOperator, members, t_filtration
 
 K4 = np.ones((4, 4)) - np.eye(4)
@@ -336,6 +337,21 @@ def test_filtration_levels_are_prefixes_of_one_table():
         assert np.array_equal(rows[[position[t] for t in connection]], fresh_rows)
         # the sums run in another order: at most 1344 terms of size ~4, so 1e-9 is loose
         assert np.allclose(op.matvec(x), fresh.matvec(x), rtol=0, atol=1e-9)
+
+
+@pytest.mark.slow
+def test_alt9_levels_keep_the_standard_lambda2():
+    # the largest degree whose member keys the int32 ranks must hold: 7560 cosets
+    group = alternating_group(9)
+    operators = filtration_operators(group, enumerate_class_cycles(9, 5))
+    found = []
+    for k, op in enumerate(operators):
+        assert op.dim == 7560
+        result = extremal_eigenvalues(op, count=2)
+        assert result.converged
+        assert result.integers[1] == quotient_lambda2_recursive(op.connection, group, k)
+        found.append(tuple(result.integers))
+    assert found == [(3024, 1134), (1680, 750), (840, 450), (360, 234), (120, 96)]
 
 
 @pytest.mark.parametrize("n, length", [(7, 3), (7, 5), (8, 5)])

@@ -55,6 +55,14 @@ def test_identity_and_call():
     assert e.is_even() and e.sign() == 1
 
 
+def test_call_refuses_a_point_outside_the_degree():
+    # point 0 would read the last image through a negative index
+    t = Permutation.parse("(1 2 3)", degree=4)
+    for point in (0, 5):
+        with pytest.raises(ValueError, match=f"point {point} outside 1..4"):
+            t(point)
+
+
 def test_composition_convention():
     # (s * p)(x) = s(p(x)): apply the right factor first
     s = Permutation((2, 1, 3))
@@ -177,6 +185,15 @@ def test_coset_count_requires_one_constraint():
         coset_count(T, a5, fixes=1, maps=(2, 1))
     with pytest.raises(ValueError):
         coset_count(T, a5)
+
+
+@pytest.mark.parametrize(
+    "constraint", [{"maps": (0, 5)}, {"maps": (1, 6)}, {"fixes": 6}, {"fixes": 0}], ids=repr
+)
+def test_coset_count_refuses_a_point_outside_the_degree(constraint):
+    # checked before the loop: a target point is never passed to a member
+    with pytest.raises(ValueError, match="outside 1..5"):
+        coset_count(enumerate_class_cycles(5, 3), alternating_group(5), **constraint)
 
 
 @pytest.mark.parametrize("slice_", [alternating_group(6), symmetric_group(6)], ids=repr)
@@ -722,16 +739,18 @@ def test_coset_operator_refuses_a_generator_of_another_degree():
 
 @pytest.mark.parametrize("subgroup", [("(4 5)",), ("(1 2)",), ("(1 2)(3 4)", "(4 5)")])
 def test_rank_lookup_refuses_a_subgroup_outside_the_slice(subgroup):
-    # an odd element sends a member of Alt(5) outside it; the first three
-    # images of g * (1 2) are those of an even member, which must not pass for it
+    # an odd element sends every member of Alt(5) to an odd product, whose
+    # key is that of no member, so the search of the generator's move refuses it
     with pytest.raises(VerificationError, match="outside the vertex group"):
         _RankLookup(alternating_group(5), parse_all(subgroup, 5))
 
 
 def test_rank_lookup_numbers_cosets_by_their_smallest_member():
     slice_ = alternating_group(5)
-    assert _RankLookup(slice_, ()).representatives is None
-    assert _RankLookup(slice_, parse_all(["()"], 5)).vertex_of is None
+    # the trivial subgroup goes down the same path: every member is its own vertex
+    for trivial in ((), parse_all(["()"], 5)):
+        lookup = _RankLookup(slice_, trivial)
+        assert lookup.representatives.tolist() == lookup.vertex_of.tolist() == list(range(60))
     three = parse_all(["(1 2 3)"], 5)
     lookup = _RankLookup(slice_, three)
     vertices = members(slice_)
@@ -765,6 +784,36 @@ def test_rank_lookup_refuses_images_that_are_no_permutation():
     # two members of Sym(4) whose first two images are 1 and 2 would both be sent to (1, 1)
     with pytest.raises(VerificationError, match="not a member of the vertex group"):
         _RankLookup(symmetric_group(4)).ranks(np.array([0, 0, 2, 3], dtype=np.intp))
+
+
+def test_rank_lookup_refuses_a_composition_outside_the_slice():
+    # (1 2) * g is odd for every member g of Alt(5): no rank may stand for it
+    t0 = np.array(Permutation.parse("(1 2)", degree=5).images, dtype=np.intp) - 1
+    with pytest.raises(VerificationError, match="not a member of the vertex group"):
+        _RankLookup(alternating_group(5)).ranks(t0)
+
+
+def test_rank_lookup_searches_each_generator_once(monkeypatch):
+    # the numbering searches the move g -> g * s once per generator, then only sweeps
+    calls = []
+    search = _RankLookup._search
+
+    def counted(self, keys, message, **context):
+        calls.append(len(keys))
+        return search(self, keys, message, **context)
+
+    monkeypatch.setattr(_RankLookup, "_search", counted)
+    diagonal = parse_all(("(1 2 3 4)(5 6 7 8)", "(1 2)(5 6)"), 8)
+    assert _RankLookup(alternating_group(8), diagonal).dim == 840
+    assert calls == [20160, 20160]
+
+
+def test_member_keys_fit_int32_up_to_the_materialization_cap():
+    # a key is n base-n digits, at most n**n - 1: raising the cap past 9 needs wider keys
+    assert permutations.MAX_MATERIALIZED_DEGREE**permutations.MAX_MATERIALIZED_DEGREE <= 2**31
+    keys = _RankLookup(alternating_group(9))._keys
+    assert keys.dtype == np.int32 and (np.diff(keys) > 0).all()
+    assert keys[-1] == int("876543210", 9)
 
 
 def test_rank_lookup_refuses_elements_that_are_no_subgroup(monkeypatch):
