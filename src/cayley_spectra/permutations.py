@@ -290,7 +290,9 @@ def coset_count(
     maps: tuple[int, int] | None = None,
 ) -> int:
     """|T ∩ slice| refined by one coordinate constraint:
-    ``fixes=p`` counts members fixing p, ``maps=(t, s)`` counts members sending t to s."""
+    ``fixes=p`` counts members fixing p, ``maps=(t, s)`` counts members sending t to s.
+    A member whose degree differs from the slice's raises ValueError rather
+    than count as outside the slice."""
     if (fixes is None) == (maps is None):
         raise ValueError("give exactly one of fixes= and maps=")
     for point in (fixes,) if maps is None else maps:
@@ -298,6 +300,8 @@ def coset_count(
             raise ValueError(f"point {point} outside 1..{slice_.degree}")
     count = 0
     for t in class_members:
+        if t.degree != slice_.degree:
+            raise ValueError(f"class member degree {t.degree} != slice degree {slice_.degree}")
         # the O(1) coordinate test first: membership computes t's parity
         if fixes is not None and not t.fixes(fixes):
             continue

@@ -286,15 +286,27 @@ def test_hypothesis_output(capsys):
     )
 
 
-def test_hypothesis_decides_a_huge_pair_at_once(capsys):
-    # k! and 4 k^(k+1) at k = 5e7 would be integers of hundreds of megabytes
+NINES = "9" * 4300  # the longest n the parser reads as an integer
+
+
+@pytest.mark.parametrize(
+    "n, k, unique",
+    [
+        # k! and 4 k^(k+1) at k = 5e7 would be integers of hundreds of megabytes
+        ("100000000", 50000000, "false"),
+        # the largest k that builds them: the cutoff 4 bits(n) of the longest n
+        (NINES, 4 * int(NINES).bit_length(), "true"),
+    ],
+    ids=["n=1e8", "n=10^4300-1"],
+)
+def test_hypothesis_decides_a_huge_pair_at_once(capsys, n, k, unique):
     start = time.perf_counter()
-    code, out, err = run(capsys, "hypothesis", "--n", "100000000", "--k", "50000000")
+    code, out, err = run(capsys, "hypothesis", "--n", n, "--k", str(k))
     assert time.perf_counter() - start < 1.0
     assert (code, err) == (0, "")
     assert out == (
         "in_main_theorem_range: false\n"
-        "unique_rimhook_range: false\n"
+        f"unique_rimhook_range: {unique}\n"
         "sqrtkfact_bound_holds: false\n"
     )
 

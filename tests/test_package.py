@@ -138,6 +138,29 @@ def test_exact_modules_defer_dataclasses_and_csv():
     assert exact_imports_of(("dataclasses", "csv")) == []
 
 
+#: math's floating-point functions and constants; the exact modules decide in integers
+FLOAT_MATH = frozenset(
+    ("lgamma", "gamma", "log", "log2", "log10", "log1p", "exp", "expm1", "sqrt", "pow",
+     "inf", "nan", "isclose", "isinf", "isnan", "isfinite")
+)
+
+
+def test_exact_modules_use_no_floating_point_math():
+    # a float comparison would make a printed claim rest on rounding; isqrt and
+    # the integer functions (comb, factorial, perm, prod) stay allowed
+    found = []
+    for name in EXACT_MODULES:
+        for node in ast.walk(ast.parse((PACKAGE_DIR / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                used = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "math":
+                used = [node.attr]
+            else:
+                continue
+            found += [f"{name}.py:{node.lineno} math.{fn}" for fn in used if fn in FLOAT_MATH]
+    assert found == []
+
+
 def run_python(*args, check=True, env=None):
     path = os.pathsep.join([str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ if env is None else env, PYTHONPATH=path)

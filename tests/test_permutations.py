@@ -196,6 +196,14 @@ def test_coset_count_refuses_a_point_outside_the_degree(constraint):
         coset_count(enumerate_class_cycles(5, 3), alternating_group(5), **constraint)
 
 
+@pytest.mark.parametrize("constraint", [{"fixes": 1}, {"maps": (2, 1)}], ids=repr)
+@pytest.mark.parametrize("degree", [4, 6])
+def test_coset_count_refuses_a_class_of_another_degree(constraint, degree):
+    # such a member lies in no slice; counting it as outside would hide the caller's mistake
+    with pytest.raises(ValueError, match=f"class member degree {degree} != slice degree 5"):
+        coset_count(enumerate_class_cycles(degree, 3), alternating_group(5), **constraint)
+
+
 @pytest.mark.parametrize("slice_", [alternating_group(6), symmetric_group(6)], ids=repr)
 def test_coset_count_matches_a_membership_first_count(slice_):
     # the coordinate test runs before membership; the counts must not move

@@ -113,6 +113,11 @@ def test_recursive_lambda2_range_check():
         quotient_lambda2_recursive(T, a8, 7)
 
 
+def test_recursive_lambda2_refuses_a_class_of_another_degree():
+    with pytest.raises(ValueError, match="class member degree 6 != slice degree 5"):
+        quotient_lambda2_recursive(enumerate_class_cycles(6, 3), alternating_group(5), 0)
+
+
 def test_recursive_lambda2_runs_at_degree_minus_two():
     # k = degree - 2 is the last k that leaves two points, k+1 and k+2, to count on.
     # T_6 of the 7-cycles: 720 with support {1..6, 8}, each fixing 7, and 720 with

@@ -15,7 +15,7 @@ import subprocess
 import sys
 import weakref
 from fractions import Fraction
-from math import comb, factorial, inf
+from math import comb, factorial
 
 import pytest
 
@@ -490,39 +490,52 @@ def flags(n, k):
     return f.in_main_theorem_range, f.unique_rimhook_range, f.sqrtkfact_bound_holds
 
 
-def first_true(holds, lo, hi):
-    """Smallest n in [lo, hi] at which the monotone predicate holds, else hi + 1."""
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return lo
+def direct_flags(n, k):
+    """flags(n, k) straight from the three inequalities, with no cutoff."""
+    in_range = k == 2 or k > 2 and spectra._below_e_power(4 * k ** (k + 1), (n * (n - 2)) ** 2, k - 1)
+    return in_range, 3 * k + 1 < n, factorial(k) * (n - 1) ** 2 <= 9 * comb(n, 3) ** 2
 
 
-def test_hypothesis_logs_agree_with_exact_integers(monkeypatch):
-    fast = {(n, k): flags(n, k) for n in range(3, 401) for k in range(n - 1)}
-    monkeypatch.setattr(spectra, "LOG_MARGIN", inf)  # every comparison by exact integers
+def test_hypothesis_flags_flip_at_most_once_in_n():
     for k in range(399):
-        # both bounds grow with n, so each flips from false to true at most once
-        lo = max(3, k + 2)
-        first_in_range = first_true(lambda n: flags(n, k)[0], lo, 400)
-        first_sqrt = first_true(lambda n: flags(n, k)[2], lo, 400)
-        for n in range(lo, 401):
-            assert fast[(n, k)] == (n >= first_in_range, 3 * k + 1 < n, n >= first_sqrt), (n, k)
+        ns = range(max(3, k + 2), 401)
+        column = [flags(n, k) for n in ns]
+        assert [f[1] for f in column] == [3 * k + 1 < n for n in ns], k
+        for index in (0, 2):
+            # both bounds grow with n, so each flips from false to true at most once
+            flag = [f[index] for f in column]
+            assert flag == sorted(flag), (k, index)
+            # and the flip, or its absence, is where the inequality puts it
+            flip = flag.index(True) if True in flag else len(flag)
+            for i in range(max(flip - 1, 0), min(flip + 1, len(ns))):
+                assert column[i] == direct_flags(ns[i], k), (ns[i], k)
+
+
+# n = 23 is the first n whose range 0 <= k <= n-2 reaches past the cutoff 4 bits(n)
+@pytest.mark.parametrize(
+    "n", [23, 64, 400, 10**6, 10**50, 10**400], ids=["23", "64", "400", "1e6", "1e50", "1e400"]
+)
+def test_hypothesis_cutoff_fails_both_bounds_without_building_k_factorial(n, monkeypatch):
+    cutoff = 4 * n.bit_length()
+    calls = []
+    exact_factorial = spectra.factorial
+    monkeypatch.setattr(spectra, "factorial", lambda k: calls.append(k) or exact_factorial(k))
+    assert flags(n, cutoff) == (False, 3 * cutoff + 1 < n, False)
+    assert calls == [cutoff]  # decided by the exact comparison
+    assert direct_flags(n, cutoff) == flags(n, cutoff)
+
+    def refuse(*args):
+        raise AssertionError("past the cutoff no exact comparison runs")
+
+    monkeypatch.setattr(spectra, "factorial", refuse)
+    monkeypatch.setattr(spectra, "_below_e_power", refuse)
+    assert flags(n, cutoff + 1) == (False, 3 * cutoff + 4 < n, False)
 
 
 def test_hypothesis_decides_huge_pairs_without_huge_integers():
-    # k past the float range: k! and k^k overflow their logarithms
+    # k past the cutoff 4 bits(n): k! and k^k dwarf n^4 and are never built
     assert flags(10**400, 10**399) == (False, True, False)
     assert flags(10**400, 500) == (True, True, True)
-
-
-def test_log_comparison_falls_back_to_exact_inside_the_margin():
-    assert spectra._log_below(1.0, 2.0, exact=lambda: pytest.fail("decided by logarithms"))
-    assert not spectra._log_below(inf, 2.0, exact=lambda: pytest.fail("decided by logarithms"))
-    assert spectra._log_below(2.0, 2.0 + 1e-12, exact=lambda: "exact") == "exact"
 
 
 # --- conjecture sweep ----------------------------------------------------
