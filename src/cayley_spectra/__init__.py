@@ -69,7 +69,6 @@ _LAZY = {
             "Permutation",
             "alternating_group",
             "cayley_adjacency",
-            "coset_count",
             "enumerate_class_cycles",
             "symmetric_group",
         ),
@@ -103,7 +102,6 @@ __all__ = [
     "closed_form_table1",
     "concrete_shape",
     "conjecture_check",
-    "coset_count",
     "dense_spectrum",
     "dimension",
     "eigenvalue_for",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import SizeLimitError
 from .spectra import MAX_N_ENV_VAR, resolve_max_n
-from .young import Partition, _bead_moves, _clip, beta_set, validate_partition
+from .young import Partition, _bead_moves, _clip, _clip_int, beta_set, validate_partition
 
 CycleType = Partition
 
@@ -48,10 +48,7 @@ def _check_cap(n: int) -> None:
     """The cap of :func:`mn_character`, also checked by the CLI before it expands any exponent."""
     bound = resolve_max_n()
     if n > bound:
-        try:
-            shown = _clip(str(n))
-        except ValueError:  # past the interpreter's int-to-str digit limit
-            shown = f"a {n.bit_length()}-bit integer"
         raise SizeLimitError(
-            f"mn_character is capped at n <= {bound} (override with {MAX_N_ENV_VAR}), got n = {shown}"
+            f"mn_character is capped at n <= {_clip_int(bound)} (override with {MAX_N_ENV_VAR}), "
+            f"got n = {_clip_int(n)}"
         )

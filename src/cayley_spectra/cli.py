@@ -15,7 +15,7 @@ from . import quotient, spectra
 from .characters import _check_cap, mn_character
 from .errors import SizeLimitError, VerificationError
 from .spectra import DEFAULT_SEED, DEFAULT_TOL, DENSE_ORDER_LIMIT
-from .young import _parse_runs, format_partition, parse_partition
+from .young import _clip_int, _parse_runs, format_partition, parse_partition
 
 # numpy, eigensolve and permutations are imported inside the two commands that
 # build arrays: every other command is exact integer work and starts faster
@@ -37,9 +37,20 @@ def _check_printable(n: int, k: int, values) -> None:
     limit = sys.get_int_max_str_digits()
     if limit and any(abs(v) >= 10**limit for v in values):
         raise ValueError(
-            f"n = {n}, k = {k} gives an integer longer than the interpreter's "
+            f"n = {_clip_int(n)}, k = {_clip_int(k)} gives an integer longer than the interpreter's "
             f"{limit}-digit limit for int-to-str conversion"
         )
+
+
+def _check_valency_printable(n: int, k: int) -> None:
+    """Check (n, k), then refuse it like :func:`_check_printable` when the valency
+    that table1 and quotient print is too long, from (n-k-1)! >= 2^(n-k-2) and
+    C(n, j) >= (n/j)^j, j = min(k, n-k), before building it."""
+    spectra._check_range(n, k)
+    j = min(k, n - k)
+    bits = n - k - 2 + (j * ((n // j).bit_length() - 1) if j else 0)
+    # 2^bits <= valency, cut at 2^(4 limit), which is past 10^limit
+    _check_printable(n, k, [1 << min(bits, 4 * sys.get_int_max_str_digits())])
 
 
 def cmd_spectrum(args) -> int:
@@ -112,7 +123,8 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    spectra.class_size(args.n, args.k)  # the range check on (n, k), before any row
+    _check_valency_printable(args.n, args.k)  # before any row
+    c = spectra.class_size(args.n, args.k)
     asserted = spectra.in_asserted_regime(args.n, args.k)
     rows = []
     for shape_id, rule in spectra.TABLE1_SHAPES.items():
@@ -121,7 +133,7 @@ def cmd_table1(args) -> int:
             continue
         lam = spectra.concrete_shape(shape_id, args.n)
         # exact: outside the asserted regime a closed form may be a fraction, printed as such
-        value = spectra.closed_form_value(shape_id, args.n, args.k)
+        value = rule.ratio(args.n, args.k) * c
         if asserted and value.denominator != 1:
             raise VerificationError(
                 f"closed form for {shape_id!r} non-integral at n={args.n}, k={args.k} "
@@ -163,6 +175,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    _check_valency_printable(args.n, args.k)
     q = quotient.quotient_matrix_gamma(args.n, args.k)
     top, second = quotient.quotient_eigenvalues_gamma(args.n, args.k)
     _check_printable(args.n, args.k, [q.diagonal, q.off_diagonal, top, second])
@@ -171,7 +184,8 @@ def cmd_quotient(args) -> int:
         size = q.order**2 * (max(len(str(q.diagonal)), len(str(q.off_diagonal))) + 1)
         if size > QUOTIENT_TEXT_LIMIT:
             raise SizeLimitError(
-                f"the quotient matrix at n = {args.n}, k = {args.k} would print up to {size} bytes, "
+                f"the quotient matrix at n = {_clip_int(args.n)}, k = {_clip_int(args.k)} would print "
+                f"up to {_clip_int(size)} bytes, "
                 f"past the {QUOTIENT_TEXT_LIMIT}-byte cap; --format json prints its two entries"
             )
     if args.format == "json":
@@ -206,9 +220,9 @@ def cmd_char(args) -> int:
 
 
 def cmd_bruteforce(args) -> int:
-    spectra.class_size(args.n, args.k)  # the range check on (n, k), before any group is built
+    spectra._check_range(args.n, args.k)  # before the cap, which names no k
     if args.n > BRUTEFORCE_MAX_N:
-        raise ValueError(f"brute force is capped at n <= {BRUTEFORCE_MAX_N}, got n = {args.n}")
+        raise ValueError(f"brute force is capped at n <= {BRUTEFORCE_MAX_N}, got n = {_clip_int(args.n)}")
     # the array modules first: permutations loads numpy with one BLAS thread
     from . import eigensolve
     from .permutations import cayley_adjacency, enumerate_class_cycles, symmetric_group

@@ -173,9 +173,6 @@ class Permutation:
     def is_even(self) -> bool:
         return self.sign() == 1
 
-    def fixes(self, point: int) -> bool:
-        return self(point) == point
-
     def cycle_string(self) -> str:
         cyc = self.cycles()
         if not cyc:
@@ -281,35 +278,6 @@ def enumerate_class_cycles(n: int, m: int) -> list[Permutation]:
                 images[src - 1] = dst
             out.append(Permutation(images))
     return out
-
-
-def coset_count(
-    class_members: list[Permutation],
-    slice_: GroupSlice,
-    fixes: int | None = None,
-    maps: tuple[int, int] | None = None,
-) -> int:
-    """|T ∩ slice| refined by one coordinate constraint:
-    ``fixes=p`` counts members fixing p, ``maps=(t, s)`` counts members sending t to s.
-    A member whose degree differs from the slice's raises ValueError rather
-    than count as outside the slice."""
-    if (fixes is None) == (maps is None):
-        raise ValueError("give exactly one of fixes= and maps=")
-    for point in (fixes,) if maps is None else maps:
-        if not 1 <= point <= slice_.degree:
-            raise ValueError(f"point {point} outside 1..{slice_.degree}")
-    count = 0
-    for t in class_members:
-        if t.degree != slice_.degree:
-            raise ValueError(f"class member degree {t.degree} != slice degree {slice_.degree}")
-        # the O(1) coordinate test first: membership computes t's parity
-        if fixes is not None and not t.fixes(fixes):
-            continue
-        if maps is not None and t(maps[0]) != maps[1]:
-            continue
-        if slice_.contains(t):
-            count += 1
-    return count
 
 
 def _subgroup_elements(generators: Sequence[Permutation], degree: int) -> list[Permutation]:
@@ -566,8 +534,6 @@ class CayleyOperator:
         _require_inverse_closed(self.connection, self._inverses)
         #: generators of the subgroup whose right cosets are the vertices
         self.subgroup = subgroup
-        #: True when the vertices are right cosets of a nontrivial subgroup
-        self.quotient = subgroup_order > 1
         self.dim = slice_.order // subgroup_order
         self._factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._plan: tuple[list[np.ndarray], list[tuple]] | None = None

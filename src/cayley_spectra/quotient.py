@@ -1,9 +1,10 @@
 """Equitable-partition quotient matrices and their exact eigenvalues.
 
 Partitioning Cay(Sym(n), C(n,k)) into the n cosets of a point stabilizer is
-equitable; the quotient matrix is alpha*(J - I) + beta*I with integer entries
-counting class members between cosets, and its two eigenvalues come out of
-that symbolic form exactly — nothing here touches floating point.
+equitable; the quotient matrix is alpha*(J - I) + beta*I, its integer entries
+count class members between cosets, and its two eigenvalues come out exactly.
+The recursive route counts both entries of a given class in one pass.  Nothing
+here uses floating point or loads an array module.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import TYPE_CHECKING, NamedTuple
 
-from .spectra import class_size
+from .spectra import _check_range, class_size
 
 if TYPE_CHECKING:
     from .permutations import GroupSlice, Permutation
@@ -40,7 +41,7 @@ def quotient_matrix_gamma(n: int, k: int) -> QuotientMatrix:
     Entry (s, t) counts the (n-k)-cycles sending s to t: the diagonal is
     C(n-1, n-k) (n-k-1)! and every off-diagonal entry is C(n-2, n-k-2) (n-k-2)!.
     """
-    class_size(n, k)  # validates 0 <= k <= n-2
+    _check_range(n, k)
     diagonal = comb(n - 1, n - k) * factorial(n - k - 1)
     off_diagonal = comb(n - 2, n - k - 2) * factorial(n - k - 2)
     return QuotientMatrix(
@@ -72,12 +73,17 @@ def quotient_lambda2_recursive(
         |T_k ∩ slice fixing k+1|  -  |T_k ∩ slice sending k+2 to k+1|
 
     The two counts are the diagonal and off-diagonal entries of the quotient
-    over the cosets of the stabilizer of k+1 in the slice.
+    over the cosets of the stabilizer of k+1 in the slice.  A member of another
+    degree raises ValueError rather than count as outside the slice.
     """
-    from .permutations import coset_count  # numpy: loaded only on this route
-
     if k < 0 or k + 2 > slice_.degree:
         raise ValueError(f"need 0 <= k <= degree-2, got k = {k}, degree = {slice_.degree}")
-    fixing = coset_count(class_members, slice_, fixes=k + 1)
-    moving = coset_count(class_members, slice_, maps=(k + 2, k + 1))
-    return fixing - moving
+    value = 0
+    for t in class_members:
+        if t.degree != slice_.degree:
+            raise ValueError(f"class member degree {t.degree} != slice degree {slice_.degree}")
+        # +1 if t fixes k+1, -1 if it sends k+2 to k+1; only then the parity
+        step = (t.images[k] == k + 1) - (t.images[k + 1] == k + 1)
+        if step and slice_.contains(t):
+            value += step
+    return value

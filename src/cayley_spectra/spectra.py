@@ -25,6 +25,7 @@ from .errors import SizeLimitError
 from .young import (
     Partition,
     _clip,
+    _clip_int,
     _conjugate,
     _dimension_from_beads,
     beta_set,
@@ -55,16 +56,18 @@ def class_size(n: int, k: int) -> int:
     This is also the valency of the Cayley graph.  Requires 0 <= k <= n-2 so
     that an (n-k)-cycle actually moves something.
     """
-    if not 0 <= k <= n - 2:
-        raise ValueError(f"need 0 <= k <= n-2, got n = {n}, k = {k}")
+    _check_range(n, k)
     return comb(n, k) * factorial(n - k - 1)
 
 
-def resolve_max_n(explicit: int | None = None) -> int:
-    """Size bound for full-spectrum enumeration: explicit argument, else the
-    CAYLEY_SPECTRA_MAX_N environment variable (an integer of at least 1), else 14."""
-    if explicit is not None:
-        return explicit
+def _check_range(n: int, k: int) -> None:
+    if not 0 <= k <= n - 2:
+        raise ValueError(f"need 0 <= k <= n-2, got n = {_clip_int(n)}, k = {_clip_int(k)}")
+
+
+def resolve_max_n() -> int:
+    """Size bound for full-spectrum enumeration: the CAYLEY_SPECTRA_MAX_N
+    environment variable (an integer of at least 1), else 14."""
     env = os.environ.get(MAX_N_ENV_VAR)
     if env is not None:
         try:
@@ -93,7 +96,7 @@ def eigenvalue_for(lam, n: int, k: int) -> int:
     lam = validate_partition(lam)
     if sum(lam) != n:
         raise ValueError(f"{lam} is not a partition of {n}")
-    class_size(n, k)  # the range check on k
+    _check_range(n, k)
     return _eigenvalue(beta_set(lam), n - k)
 
 
@@ -193,10 +196,11 @@ def full_spectrum(n: int, k: int, max_n: int | None = None) -> list[SpectrumEntr
     matrix A: tr I = n!, tr A = 0 (no (n-k)-cycle is the identity) and
     tr A^2 = n! |C(n,k)| (each vertex has |C(n,k)| closed 2-walks).
     """
-    bound = resolve_max_n(max_n)
+    bound = resolve_max_n() if max_n is None else max_n
     if n > bound:
         raise SizeLimitError(
-            f"full_spectrum is capped at n <= {bound} (override with {MAX_N_ENV_VAR}), got n = {n}"
+            f"full_spectrum is capped at n <= {_clip_int(bound)} (override with {MAX_N_ENV_VAR}), "
+            f"got n = {_clip_int(n)}"
         )
     c = class_size(n, k)  # also the range check on k
     m = n - k
@@ -235,10 +239,11 @@ class Lambda2(NamedTuple):
     witnesses: tuple[Partition, ...]
 
 
-def lambda2(n: int, k: int, max_n: int | None = None) -> Lambda2:
+def lambda2(n: int, k: int) -> Lambda2:
     """Largest eigenvalue strictly below the valency, with every shape attaining it."""
-    c = class_size(n, k)
-    below = [e for e in full_spectrum(n, k, max_n=max_n) if e.eigenvalue < c]
+    entries = full_spectrum(n, k)  # first: its cap comes before any factorial
+    c = entries[0].eigenvalue  # the valency, the trivial shape's eigenvalue, is the largest
+    below = [e for e in entries if e.eigenvalue < c]
     if not below:  # tr A = 0 forces some eigenvalue below the valency
         raise ArithmeticError(f"no eigenvalue below the valency {c} for n = {n}, k = {k}")
     top = below[0].eigenvalue
@@ -322,22 +327,14 @@ def closed_form_table1(shape_id: str, n: int, k: int) -> int:
     Exact rational evaluation; a non-integral value raises ArithmeticError,
     also under ``python -O``.  The forms are only *guaranteed* to match the
     character recursion for 3k+1 < n and for k in {0, 1}; see
-    :func:`in_asserted_regime`.
+    :func:`in_asserted_regime`.  Outside it a form need not be an integer,
+    e.g. 5/3 for 'n-2,1^2' at n = 5, k = 3.
     """
-    value = closed_form_value(shape_id, n, k)
+    concrete_shape(shape_id, n)  # validates the shape id and its minimal n
+    value = TABLE1_SHAPES[shape_id].ratio(n, k) * class_size(n, k)
     if value.denominator != 1:
         raise ArithmeticError(f"closed form for {shape_id!r} non-integral at n={n}, k={k}: {value}")
     return int(value)
-
-
-def closed_form_value(shape_id: str, n: int, k: int) -> Fraction:
-    """The closed form of :func:`closed_form_table1` as an exact fraction.
-
-    Outside :func:`in_asserted_regime` it need not be an integer, e.g. 5/3
-    for 'n-2,1^2' at n = 5, k = 3.
-    """
-    concrete_shape(shape_id, n)  # validates the shape id and its minimal n
-    return TABLE1_SHAPES[shape_id].ratio(n, k) * class_size(n, k)
 
 
 def in_asserted_regime(n: int, k: int) -> bool:
@@ -373,7 +370,7 @@ def hypothesis_check(n: int, k: int) -> HypothesisFlags:
     the CLI reads, at k = 57,140 takes 0.08 s on a 2-core host.
     """
     if n < 3 or not 0 <= k <= n - 2:
-        raise ValueError(f"need n >= 3 and 0 <= k <= n-2, got n = {n}, k = {k}")
+        raise ValueError(f"need n >= 3 and 0 <= k <= n-2, got n = {_clip_int(n)}, k = {_clip_int(k)}")
     unique = 3 * k + 1 < n
     if k > 4 * n.bit_length():
         return HypothesisFlags(False, unique, False)
@@ -383,18 +380,30 @@ def hypothesis_check(n: int, k: int) -> HypothesisFlags:
 
 
 def _below_e_power(a: int, b: int, p: int) -> bool:
-    """Whether a < b e^p (integers, b > 0, p >= 1), from bounds s_j < e < s_j + 1/(j j!)
-    with s_j = sum_{i<=j} 1/i!, refined until they separate; e^p is irrational."""
-    term = lower = Fraction(1)
-    j = 0
+    """Whether a < b e^p (integers, b > 0, p >= 1), in integers; e^p is irrational.
+    First 2 < e < 3, which settles every pair far from the tie.  Then the partial
+    sums of e^p = sum_i p^i / i! scaled by J!, A_J = J A_{J-1} + p^J, below e^p J!;
+    once J + 2 > p the rest times J! is below p^(J+1) (J+2) / ((J+1) (J+2-p)).
+    A step of the sums costs products by small integers only; the bounds, two
+    full products, are compared at J = p-1, 2(p-1), 4(p-1), ..."""
+    if a <= b << p:
+        return True
+    if a >= b * 3**p:
+        return False
+    partial = scale = power = 1  # A_J, J! and p^J at J = 0
+    j, check = 0, max(p - 1, 1)
     while True:
         j += 1
-        term /= j
-        lower += term
-        if a <= b * lower**p:
-            return True
-        if a >= b * (lower + term / j) ** p:
-            return False
+        power *= p
+        partial = j * partial + power
+        scale *= j
+        if j == check:
+            check *= 2
+            if a * scale <= b * partial:
+                return True
+            tail = -(-power * p * (j + 2) // ((j + 1) * (j + 2 - p)))  # rounded up
+            if a * scale >= b * (partial + tail):
+                return False
 
 
 class ConjectureRecord(NamedTuple):
@@ -431,11 +440,11 @@ def conjecture_check(n_max: int) -> list[ConjectureRecord]:
     """Sweep 4 <= n <= n_max, 2 <= k <= n-2: does the second eigenvalue equal
     (k-1)/(n-1) * valency, with [n-1,1] among the witnesses?"""
     if n_max < 4:  # below n = 4 there is no pair to check, and an empty sweep proves nothing
-        raise ValueError(f"conjecture_check needs n_max >= 4, got n_max = {n_max}")
-    if n_max > resolve_max_n(None):
+        raise ValueError(f"conjecture_check needs n_max >= 4, got n_max = {_clip_int(n_max)}")
+    if n_max > resolve_max_n():
         raise SizeLimitError(
-            f"conjecture_check is capped at n <= {resolve_max_n(None)} "
-            f"(override with {MAX_N_ENV_VAR}), got n_max = {n_max}"
+            f"conjecture_check is capped at n <= {_clip_int(resolve_max_n())} "
+            f"(override with {MAX_N_ENV_VAR}), got n_max = {_clip_int(n_max)}"
         )
     return [_conjecture_task(n, k) for n in range(4, n_max + 1) for k in range(2, n - 1)]
 

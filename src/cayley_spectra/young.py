@@ -40,6 +40,14 @@ def _clip(text: str, limit: int = 20) -> str:
     return text if len(text) <= limit else text[:limit] + "..."
 
 
+def _clip_int(value: int) -> str:
+    """``value`` cut by :func:`_clip` (its sign not counted), or its size past the str() limit."""
+    try:
+        return _clip(str(value), 20 + (value < 0))
+    except ValueError:
+        return f"a {value.bit_length()}-bit integer"
+
+
 def _partitions(n: int) -> Iterator[Partition]:
     # ZS1 (Zoghbi & Stojmenovic 1998): x[:m] is the current partition and
     # x[h] its last part above 1.  Each step lowers x[h] by one and refills

@@ -229,7 +229,7 @@ def images_of(op, point: int) -> list[int]:
     subgroup fixes has one image per coset."""
     if not 1 <= point <= op.slice.degree:
         raise ValueError(f"point {point} outside 1..{op.slice.degree}")
-    mover = next((h for h in op.subgroup if not h.fixes(point)), None)
+    mover = next((h for h in op.subgroup if h(point) != point), None)
     if mover is not None:
         raise ValueError(
             f"point {point} is moved by {mover.cycle_string()}, so the members "

@@ -1,6 +1,7 @@
 """Command-line behavior: exact output lines, formats, exit codes."""
 
 import csv
+import decimal
 import functools
 import io
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -311,6 +313,35 @@ def test_hypothesis_decides_a_huge_pair_at_once(capsys, n, k, unique):
     )
 
 
+def main_theorem_flip(k):
+    """The least n with 4 k^(k+1) < n^2 (n-2)^2 e^(k-1), in decimal arithmetic
+    carried 50 digits past the left side: n(n-2) = (n-1)^2 - 1 must pass the
+    square root of 4 k^(k+1) / e^(k-1)."""
+    left = 4 * k ** (k + 1)
+    with decimal.localcontext() as context:
+        context.prec = len(str(left)) + 50
+        root = (decimal.Decimal(left) / decimal.Decimal(k - 1).exp()).sqrt()
+        return int((root + 1).sqrt()) + 2
+
+
+@pytest.mark.parametrize("side", [-1, 0], ids=["below", "at"])
+def test_hypothesis_decides_either_side_of_the_k_800_flip_at_once(capsys, side):
+    # n has 495 digits: the pair lies about 1/n from the tie, so that e^799 must be
+    # bounded to about 500 digits
+    k = 800
+    n = main_theorem_flip(k) + side
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hypothesis", "--n", str(n), "--k", str(k))
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    sqrt_bound = factorial(k) * (n - 1) ** 2 <= 9 * comb(n, 3) ** 2
+    assert out == (
+        f"in_main_theorem_range: {str(side == 0).lower()}\n"
+        "unique_rimhook_range: true\n"
+        f"sqrtkfact_bound_holds: {str(sqrt_bound).lower()}\n"
+    )
+
+
 def test_hypothesis_rejects_k_past_n_minus_2(capsys):
     code, out, err = run(capsys, "hypothesis", "--n", "10", "--k", "12")
     assert code == 2
@@ -411,6 +442,89 @@ def test_integers_past_the_str_digit_limit_are_a_usage_error(capsys, argv):
         f"error: n = {n}, k = {k} gives an integer longer than the interpreter's "
         f"{sys.get_int_max_str_digits()}-digit limit for int-to-str conversion\n"
     )
+
+
+BEYOND_INT64 = "9223372036854775810"  # past the largest argument of math.factorial
+TOO_LONG = f"{sys.get_int_max_str_digits()}-digit limit for int-to-str conversion"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("lambda2", "--n", "1000000", "--k", "1"),
+            "full_spectrum is capped at n <= 14 (override with CAYLEY_SPECTRA_MAX_N), got n = 1000000",
+        ),
+        (("bruteforce", "--n", "1000000", "--k", "1"), "brute force is capped at n <= 6, got n = 1000000"),
+        (
+            ("table1", "--n", "1000000", "--k", "1"),
+            f"n = 1000000, k = 1 gives an integer longer than the interpreter's {TOO_LONG}",
+        ),
+        (
+            ("quotient", "--n", "1000000", "--k", "1"),
+            f"n = 1000000, k = 1 gives an integer longer than the interpreter's {TOO_LONG}",
+        ),
+        (
+            ("lambda2", "--n", BEYOND_INT64, "--k", "1"),
+            f"full_spectrum is capped at n <= 14 (override with CAYLEY_SPECTRA_MAX_N), got n = {BEYOND_INT64}",
+        ),
+        (("bruteforce", "--n", BEYOND_INT64, "--k", "1"), f"brute force is capped at n <= 6, got n = {BEYOND_INT64}"),
+        (
+            ("table1", "--n", BEYOND_INT64, "--k", "1"),
+            f"n = {BEYOND_INT64}, k = 1 gives an integer longer than the interpreter's {TOO_LONG}",
+        ),
+        (
+            ("quotient", "--n", BEYOND_INT64, "--k", "1"),
+            f"n = {BEYOND_INT64}, k = 1 gives an integer longer than the interpreter's {TOO_LONG}",
+        ),
+    ],
+    ids=lambda value: "-".join(value[:3]) if isinstance(value, tuple) else "",
+)
+def test_huge_pairs_are_refused_before_the_valency_is_built(capsys, monkeypatch, argv, message):
+    # the valency (n-k-1)! C(n, k) has millions of digits at n = 1e6, and math.factorial
+    # refuses an argument past 2^63 - 1 with an OverflowError
+    monkeypatch.delenv("CAYLEY_SPECTRA_MAX_N", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--n", NINES, "--k", "1"),
+        ("spectrum", "--n", "5", "--k", NINES),
+        ("lambda2", "--n", NINES, "--k", "1"),
+        ("conjecture", "--n-max", NINES),
+        ("conjecture", "--n-max", f"-{NINES}"),
+        ("table1", "--n", NINES, "--k", "1"),
+        ("table1", "--n", "5", "--k", NINES),
+        ("quotient", "--n", NINES, "--k", "1"),
+        ("quotient", "--n", "5", "--k", f"-{NINES}"),
+        ("bruteforce", "--n", NINES, "--k", "1"),
+        ("hypothesis", "--n", "5", "--k", NINES),
+        ("hypothesis", "--n", NINES, "--k", f"-{NINES}"),
+    ],
+    ids=lambda argv: "-".join(a if len(a) < 20 else f"{a[0]}{len(a)}" for a in argv),
+)
+def test_error_lines_clip_a_4300_digit_argument(capsys, monkeypatch, argv):
+    monkeypatch.delenv("CAYLEY_SPECTRA_MAX_N", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
+    assert "9" * 21 not in err
+
+
+@pytest.mark.parametrize(
+    "k, shown",
+    [("99999999999999999999", "99999999999999999999"), ("-99999999999999999999", "-99999999999999999999"),
+     ("999999999999999999999", "99999999999999999999..."), ("-999999999999999999999", "-99999999999999999999...")],
+    ids=["20-digits", "minus-20-digits", "21-digits", "minus-21-digits"],
+)
+def test_error_lines_clip_past_20_digits(capsys, k, shown):
+    code, out, err = run(capsys, "hypothesis", "--n", "5", "--k", k)
+    assert (code, out, err) == (2, "", f"error: need n >= 3 and 0 <= k <= n-2, got n = 5, k = {shown}\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "table"])

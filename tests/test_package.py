@@ -96,15 +96,16 @@ EXACT_MODULES = ("__init__", "cli", "quotient", "spectra", "characters", "young"
 ARRAY_MODULES = ("numpy", "cayley_spectra.eigensolve", "cayley_spectra.permutations")
 
 
-def import_time_imports(tree):
+def import_time_imports(tree, into_functions=False):
     """(line, module names) of each import run when the module is imported:
-    not those inside a function or under ``if TYPE_CHECKING:``."""
+    not those under ``if TYPE_CHECKING:``, nor, unless ``into_functions``,
+    those inside a function."""
     for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not into_functions:
             continue
         if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
             for branch in node.orelse:
-                yield from import_time_imports(branch)
+                yield from import_time_imports(branch, into_functions)
             continue
         if isinstance(node, ast.Import):
             yield node.lineno, [alias.name for alias in node.names]
@@ -112,16 +113,19 @@ def import_time_imports(tree):
             base = ".".join(filter(None, ["cayley_spectra" if node.level else "", node.module]))
             yield node.lineno, [base] + [f"{base}.{alias.name}" for alias in node.names]
         else:
-            yield from import_time_imports(node)
+            yield from import_time_imports(node, into_functions)
 
 
-def exact_imports_of(banned_modules):
+def exact_imports_of(banned_modules, names=EXACT_MODULES, into_functions=False):
     """``file:line module`` of each import-time import of a banned module (or a
-    submodule of one) in the exact modules."""
+    submodule of one) in the modules ``names``; with ``into_functions``, of
+    each import inside a function too."""
     return [
         f"{name}.py:{line} {module}"
-        for name in EXACT_MODULES
-        for line, modules in import_time_imports(ast.parse((PACKAGE_DIR / f"{name}.py").read_text()))
+        for name in names
+        for line, modules in import_time_imports(
+            ast.parse((PACKAGE_DIR / f"{name}.py").read_text()), into_functions
+        )
         for module in modules
         if any(module == banned or module.startswith(banned + ".") for banned in banned_modules)
     ]
@@ -130,6 +134,13 @@ def exact_imports_of(banned_modules):
 def test_exact_modules_import_no_array_module():
     # numpy costs every fresh interpreter about 0.1 s; only the array routes may load it
     assert exact_imports_of(ARRAY_MODULES) == []
+
+
+def test_exact_route_modules_import_no_array_module_even_in_a_function():
+    # the import-time test above misses an import inside a function; of the exact
+    # modules only __init__ (its lazy names) and cli (the array commands) may defer one
+    modules = ("quotient", "spectra", "characters", "young", "errors")
+    assert exact_imports_of(ARRAY_MODULES, modules, into_functions=True) == []
 
 
 def test_exact_modules_defer_dataclasses_and_csv():

@@ -28,7 +28,6 @@ from cayley_spectra.permutations import (
     _require_quotient,
     alternating_group,
     cayley_adjacency,
-    coset_count,
     enumerate_class_cycles,
     symmetric_group,
 )
@@ -114,7 +113,7 @@ def test_cycle_type_and_support():
     p = Permutation.parse("(1 4)(2 5 6)", degree=7)
     assert p.cycle_type() == (3, 2, 1, 1)
     assert p.support() == {1, 4, 2, 5, 6}
-    assert p.fixes(3) and p.fixes(7)
+    assert p(3) == 3 and p(7) == 7
 
 
 # --- class enumeration ---------------------------------------------------
@@ -169,52 +168,6 @@ def test_t_filtration_sizes():
     assert sizes == [20, 12, 6, 2]
     T8 = enumerate_class_cycles(8, 5)
     assert [len(t_filtration(T8, k)) for k in range(5)] == [1344, 840, 480, 240, 96]
-
-
-def test_coset_count_examples():
-    a8 = alternating_group(8)
-    T = [t for t in enumerate_class_cycles(8, 5) if a8.contains(t)]
-    assert coset_count(T, a8, fixes=1) == 504
-    assert coset_count(T, a8, maps=(2, 1)) == 120
-
-
-def test_coset_count_requires_one_constraint():
-    a5 = alternating_group(5)
-    T = enumerate_class_cycles(5, 3)
-    with pytest.raises(ValueError):
-        coset_count(T, a5, fixes=1, maps=(2, 1))
-    with pytest.raises(ValueError):
-        coset_count(T, a5)
-
-
-@pytest.mark.parametrize(
-    "constraint", [{"maps": (0, 5)}, {"maps": (1, 6)}, {"fixes": 6}, {"fixes": 0}], ids=repr
-)
-def test_coset_count_refuses_a_point_outside_the_degree(constraint):
-    # checked before the loop: a target point is never passed to a member
-    with pytest.raises(ValueError, match="outside 1..5"):
-        coset_count(enumerate_class_cycles(5, 3), alternating_group(5), **constraint)
-
-
-@pytest.mark.parametrize("constraint", [{"fixes": 1}, {"maps": (2, 1)}], ids=repr)
-@pytest.mark.parametrize("degree", [4, 6])
-def test_coset_count_refuses_a_class_of_another_degree(constraint, degree):
-    # such a member lies in no slice; counting it as outside would hide the caller's mistake
-    with pytest.raises(ValueError, match=f"class member degree {degree} != slice degree 5"):
-        coset_count(enumerate_class_cycles(degree, 3), alternating_group(5), **constraint)
-
-
-@pytest.mark.parametrize("slice_", [alternating_group(6), symmetric_group(6)], ids=repr)
-def test_coset_count_matches_a_membership_first_count(slice_):
-    # the coordinate test runs before membership; the counts must not move
-    for m in range(2, 7):
-        T = enumerate_class_cycles(6, m)
-        inside = [t for t in T if slice_.contains(t)]
-        for p in range(1, 7):
-            assert coset_count(T, slice_, fixes=p) == sum(t(p) == p for t in inside)
-        for src, dst in itertools.product(range(1, 7), repeat=2):
-            expected = sum(t(src) == dst for t in inside)
-            assert coset_count(T, slice_, maps=(src, dst)) == expected
 
 
 # --- slices ---------------------------------------------------------------
@@ -565,7 +518,7 @@ def test_coset_operator_matches_the_brute_schreier_graph(slice_, connection, sub
     subgroup = parse_all(subgroup, slice_.degree)
     connection = [t for t in connection if slice_.contains(t)]
     op = cayley_adjacency(slice_, connection, subgroup)
-    assert op.quotient and op.dim == slice_.order // len(closure(subgroup, slice_.degree))
+    assert op.dim == slice_.order // len(closure(subgroup, slice_.degree))
     brute = brute_schreier(slice_, connection, subgroup)
     if op.dim <= DENSE_ORDER_LIMIT:
         assert np.array_equal(op.dense(), brute)
@@ -579,7 +532,7 @@ def test_the_trivial_subgroup_is_the_full_graph():
     connection = enumerate_class_cycles(5, 3)
     for subgroup in ([], parse_all(["()"], 5)):
         op = cayley_adjacency(slice_, connection, subgroup)
-        assert not op.quotient and op.dim == slice_.order
+        assert op.dim == slice_.order
         assert np.array_equal(op.dense(), brute_adjacency(slice_, connection))
         assert images_of(op, 4) == [g(4) for g in members(slice_)]
 

@@ -7,6 +7,7 @@ quotient eigenvalues in the full character spectrum.
 
 import csv
 import io
+import itertools
 
 import pytest
 
@@ -106,6 +107,24 @@ def test_recursive_lambda2_alt8():
         assert quotient_lambda2_recursive(tk, a8, k) == expected
 
 
+def test_recursive_lambda2_examples():
+    # 504 of the 5-cycles in Alt(8) fix 1 and 120 send 2 to 1
+    a8 = alternating_group(8)
+    T = [t for t in enumerate_class_cycles(8, 5) if a8.contains(t)]
+    assert quotient_lambda2_recursive(T, a8, 0) == 504 - 120
+
+
+@pytest.mark.parametrize("slice_", [alternating_group(6), symmetric_group(6)], ids=repr)
+def test_recursive_lambda2_matches_a_membership_first_count(slice_):
+    # the coordinate tests run before membership, in one pass; the difference must not move
+    for m, k in itertools.product(range(2, 7), range(5)):
+        T = enumerate_class_cycles(6, m)
+        inside = [t for t in T if slice_.contains(t)]
+        fixing = sum(t(k + 1) == k + 1 for t in inside)
+        moving = sum(t(k + 2) == k + 1 for t in inside)
+        assert quotient_lambda2_recursive(T, slice_, k) == fixing - moving, (m, k)
+
+
 def test_recursive_lambda2_range_check():
     a8 = alternating_group(8)
     T = enumerate_class_cycles(8, 5)
@@ -113,9 +132,11 @@ def test_recursive_lambda2_range_check():
         quotient_lambda2_recursive(T, a8, 7)
 
 
-def test_recursive_lambda2_refuses_a_class_of_another_degree():
-    with pytest.raises(ValueError, match="class member degree 6 != slice degree 5"):
-        quotient_lambda2_recursive(enumerate_class_cycles(6, 3), alternating_group(5), 0)
+@pytest.mark.parametrize("degree", [4, 6])
+def test_recursive_lambda2_refuses_a_class_of_another_degree(degree):
+    # such a member lies in no slice; counting it as outside would hide the caller's mistake
+    with pytest.raises(ValueError, match=f"class member degree {degree} != slice degree 5"):
+        quotient_lambda2_recursive(enumerate_class_cycles(degree, 3), alternating_group(5), 0)
 
 
 def test_recursive_lambda2_runs_at_degree_minus_two():
